@@ -12,6 +12,7 @@ are byte-for-byte deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +33,11 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-# -- deterministic JSON with full-precision floats ---------------------------
+# -- deterministic JSON and CSV with full-precision floats --------------------
+
+
+def _fmt17(x):
+    return format(float(x), ".17g")
 
 
 def _json_value(obj):
@@ -47,7 +52,7 @@ def _json_value(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        return _fmt17(obj)
     if isinstance(obj, np.ndarray):
         return _json_value(obj.tolist())
     return json.dumps(str(obj))
@@ -60,7 +65,8 @@ def dumps(obj):
 def _digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()
 
 
@@ -85,10 +91,6 @@ def _write(path, text, force):
         raise MedgraphError(f"refusing to overwrite {path}; pass --force")
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _fmt17(x):
-    return format(float(x), ".17g")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -122,14 +124,11 @@ def cmd_sep(args):
         path = res.witness
         out["separated"] = res.status == "holds"
     else:
+        from .scm import _split_lagged
         dag = unroll(spec.graph, args.lags)
-
-        def node(tok):
-            name, _, lag = tok.rpartition("@")
-            return (name, int(lag))
-
-        path = d_connecting_path(dag, {node(t) for t in a},
-                                 {node(t) for t in b}, {node(t) for t in c})
+        path = d_connecting_path(dag, {_split_lagged(t) for t in a},
+                                 {_split_lagged(t) for t in b},
+                                 {_split_lagged(t) for t in c})
         out["separated"] = path is None
     if path is not None:
         out["witness_path"] = format_path(
@@ -194,8 +193,8 @@ def cmd_estimate(args):
                                  decay=args.decay, split=args.split)
         keep = [n for n in ds.covariate_names if n != args.mediator_col]
         cols = np.stack([ds.column(n) for n in keep], axis=1)
-        ds = sv.SurvivalDataset(ds.subject, ds.start, ds.stop, ds.event,
-                                ds.treatment, cols, tuple(keep))
+        ds = dataclasses.replace(ds, covariates=cols,
+                                 covariate_names=tuple(keep))
     result = sv.estimate_effects(ds)
 
     os.makedirs(args.out, exist_ok=True)
@@ -377,7 +376,6 @@ def build_parser():
                         help="master seed (fallback: MEDGRAPH_SEED, then 0)")
         sp.add_argument("--force", action="store_true",
                         help="allow overwriting existing output files")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("check", help="verify mediation assumptions on a graph")
     sp.add_argument("graph")

@@ -131,19 +131,6 @@ class TailedDirectedGraph:
         self._check_known(target)
         return _closure(target, self._parent_map(self.tailed)) - target
 
-    def tailed_descendants(self, source):
-        source = set(source)
-        self._check_known(source)
-        children = {}
-        for a, b in self.tailed:
-            children.setdefault(a, set()).add(b)
-        return _closure(source, children) - source
-
-    def tailed_parents(self, target):
-        target = set(target)
-        self._check_known(target)
-        return {a for a, b in self.tailed if b in target} - target
-
     def tailed_ancestors_process(self, target):
         """Tailed ancestors restricted to process nodes."""
         return self.tailed_ancestors(target) & self.process_nodes

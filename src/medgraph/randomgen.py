@@ -77,8 +77,9 @@ def random_rolled_graph(rng, n_nodes=6, n_baseline=None, edge_prob=0.3,
 def random_query(rng, pool, max_each=2, target_pool=None):
     """Disjoint (from, target, given) sets drawn from ``pool``; targets come
     from ``target_pool`` when separation restricts them (process-only)."""
-    pool = list(pool)
-    target_pool = list(target_pool if target_pool is not None else pool)
+    # sorted, not set order: the draw must not depend on the hash seed
+    pool = sorted(pool)
+    target_pool = sorted(target_pool if target_pool is not None else pool)
     rng.shuffle(pool)
     targets = [n for n in target_pool if n in pool] or target_pool
     b = {targets[int(rng.integers(0, len(targets)))]}

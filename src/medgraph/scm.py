@@ -373,7 +373,10 @@ def _split_lagged(name):
     base, sep, lag = name.rpartition("@")
     if not sep:
         raise QueryError(f"variable {name!r} is not of the form 'name@lag'")
-    return base, int(lag)
+    try:
+        return base, int(lag)
+    except ValueError:
+        raise QueryError(f"variable {name!r} has a non-integer lag") from None
 
 
 def _lag_index(table: JointTable):

@@ -114,6 +114,17 @@ def _search_from(src, out, inc, b, given, anc_plus):
     return None
 
 
+def _first_path(edges, a, b, given, anc_plus):
+    """The first connecting simple path from the sorted sources, by
+    exhaustive depth-first enumeration, or None."""
+    out, inc = _adjacency(edges)
+    for src in sorted(a):
+        found = _search_from(src, out, inc, b, given, anc_plus)
+        if found:
+            return found
+    return None
+
+
 def format_path(path):
     if path is None:
         return None
@@ -138,23 +149,17 @@ def d_separated_oracle(dag: UnrolledDag, a, b, c) -> bool:
     """Exhaustive simple-path version of :func:`d_separated`."""
     a, b, c = _check_query(dag.node_set(), a, b, c)
     anc_plus = dag.ancestors(c, include_target=True)
-    out, inc = _adjacency(dag.edges)
-    for src in sorted(a):
-        if _search_from(src, out, inc, b, c, anc_plus):
-            return False
-    return True
+    return _first_path(dag.edges, a, b, c, anc_plus) is None
 
 
 def d_connecting_path(dag: UnrolledDag, a, b, c):
-    """One d-connecting simple path, or None if separated (oracle search)."""
+    """One d-connecting simple path, or None if separated.  The walk test
+    answers separated queries; only connected ones enumerate paths."""
     a, b, c = _check_query(dag.node_set(), a, b, c)
     anc_plus = dag.ancestors(c, include_target=True)
-    out, inc = _adjacency(dag.edges)
-    for src in sorted(a):
-        found = _search_from(src, out, inc, b, c, anc_plus)
-        if found:
-            return found
-    return None
+    if not _walk_connected(dag.edges, a, b, c, anc_plus):
+        return None
+    return _first_path(dag.edges, a, b, c, anc_plus)
 
 
 # -- delta-separation on rolled graphs -------------------------------------
@@ -186,18 +191,18 @@ def delta_separated(graph: TailedDirectedGraph, a, b, c) -> bool:
 def delta_separated_oracle(graph: TailedDirectedGraph, a, b, c) -> bool:
     if len(graph.nodes) > ORACLE_NODE_BUDGET:
         raise SizeError(f"path-enumeration oracle limited to {ORACLE_NODE_BUDGET} nodes")
-    return delta_connecting_path(graph, a, b, c) is None
+    a, b, c, aux, anc_plus = _delta_setup(graph, a, b, c)
+    return _first_path(aux.all_edges, a, b, c, anc_plus) is None
 
 
 def delta_connecting_path(graph: TailedDirectedGraph, a, b, c):
-    """One delta-connecting simple path (in the auxiliary graph), or None."""
+    """One delta-connecting simple path (in the auxiliary graph), or None.
+    The walk test answers separated queries; only connected ones enumerate
+    paths."""
     a, b, c, aux, anc_plus = _delta_setup(graph, a, b, c)
-    out, inc = _adjacency(aux.all_edges)
-    for src in sorted(a):
-        found = _search_from(src, out, inc, b, c, anc_plus)
-        if found:
-            return found
-    return None
+    if not _walk_connected(aux.all_edges, a, b, c, anc_plus):
+        return None
+    return _first_path(aux.all_edges, a, b, c, anc_plus)
 
 
 # -- Granger non-causality via contemporaneous-effects criterion ----------

@@ -8,13 +8,19 @@ fitting with Breslow ties, the Breslow baseline, the cumulative treatment
 hazard estimator R(t), the direct/indirect relative survival curves, and a
 subject-level bootstrap.  A piecewise-constant simulation generator acts as
 the oracle for estimator tests.
+
+Every row carries a case weight (``SurvivalDataset.weights``, default 1):
+a subject of weight w counts as w identical subjects in every estimator and
+count.  A bootstrap replicate is the original rows with multinomial case
+weights, so a statistic given to :func:`bootstrap` must honour the weights;
+every estimator here does.  All estimators share one risk-set kernel.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +72,9 @@ class StepFunction:
 @dataclass(frozen=True, eq=False)
 class SurvivalDataset:
     """Counting-process dataset.  Rows are grouped by subject and sorted by
-    interval start within each subject."""
+    interval start within each subject.  ``weights`` holds each row's case
+    weight (positive, the same on every row of a subject); it defaults to 1.
+    """
 
     subject: np.ndarray
     start: np.ndarray
@@ -75,6 +83,16 @@ class SurvivalDataset:
     treatment: np.ndarray
     covariates: np.ndarray
     covariate_names: tuple[str, ...]
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.weights is None:
+            object.__setattr__(self, "weights",
+                               np.ones(len(self.subject), dtype=int))
+        elif (np.shape(self.weights) != np.shape(self.subject) or not
+              np.all(np.isfinite(self.weights) & (self.weights > 0))):
+            raise DataError("case weights must be positive and finite, "
+                            "one per row")
 
     @classmethod
     def build(cls, subject, start, stop, event, treatment, covariates,
@@ -128,20 +146,19 @@ class SurvivalDataset:
     def __len__(self):
         return len(self.subject)
 
-    @property
-    def subjects(self):
-        seen: dict = {}
-        for s in self.subject:
-            seen.setdefault(s, None)
-        return list(seen)
+    def _first_rows(self):
+        """Mask of each subject's first row (rows are grouped by subject)."""
+        first = np.ones(len(self), dtype=bool)
+        first[1:] = self.subject[1:] != self.subject[:-1]
+        return first
 
     @property
     def n_subjects(self):
-        return len(set(self.subject))
+        return self.weights[self._first_rows()].sum().item()
 
     @property
     def n_events(self):
-        return int(self.event.sum())
+        return (self.weights * self.event).sum().item()
 
     def restrict(self, mask) -> "SurvivalDataset":
         mask = np.asarray(mask, dtype=bool)
@@ -150,7 +167,7 @@ class SurvivalDataset:
         return SurvivalDataset(self.subject[mask], self.start[mask],
                                self.stop[mask], self.event[mask],
                                self.treatment[mask], self.covariates[mask],
-                               self.covariate_names)
+                               self.covariate_names, self.weights[mask])
 
     def group(self, a) -> "SurvivalDataset":
         return self.restrict(self.treatment == a)
@@ -163,20 +180,19 @@ class SurvivalDataset:
         return self.covariates[:, j]
 
     def summary(self) -> dict:
-        subj_treat = {s: int(a) for s, a in zip(self.subject, self.treatment)}
-        subj_event: dict = {}
-        for s, e in zip(self.subject, self.event):
-            subj_event[s] = subj_event.get(s, 0) | int(e)
-        by_group = {0: 0, 1: 0}
-        deaths = {0: 0, 1: 0}
-        for s, a in subj_treat.items():
-            by_group[a] += 1
-            deaths[a] += subj_event[s]
+        """Case-weighted subject and event counts, overall and by arm, plus
+        the number of rows."""
+        first = self._first_rows()
+        subjects = self.weights[first]
+        events = self.weights * self.event
         return {
-            "subjects": len(subj_treat),
-            "events": sum(subj_event.values()),
-            "subjects_by_treatment": by_group,
-            "events_by_treatment": deaths,
+            "subjects": subjects.sum().item(),
+            "events": events.sum().item(),
+            "subjects_by_treatment": {
+                a: subjects[self.treatment[first] == a].sum().item()
+                for a in (0, 1)},
+            "events_by_treatment": {
+                a: events[self.treatment == a].sum().item() for a in (0, 1)},
             "rows": len(self),
         }
 
@@ -256,11 +272,8 @@ def mediator_summary(dataset: SurvivalDataset, mediator_col, scheme,
     derived = np.zeros((n, out_cols[scheme]))
 
     # dataset rows are sorted by subject, then start
-    i = 0
-    while i < n:
-        j = i
-        while j < n and dataset.subject[j] == dataset.subject[i]:
-            j += 1
+    bounds = np.append(np.flatnonzero(dataset._first_rows()), n)
+    for i, j in zip(bounds[:-1], bounds[1:]):
         vals = raw[i:j]
         starts = dataset.start[i:j]
         for k in range(j - i):
@@ -278,59 +291,80 @@ def mediator_summary(dataset: SurvivalDataset, mediator_col, scheme,
                 e = early.mean() if early.size else (late.mean() if late.size else 0.0)
                 l = late.mean() if late.size else e
                 derived[i + k] = (e, l)
-        i = j
 
     names = {1: (f"{mediator_col}_{scheme}",),
              2: (f"{mediator_col}_{scheme}_early", f"{mediator_col}_{scheme}_late")}
-    return SurvivalDataset(
-        dataset.subject, dataset.start, dataset.stop, dataset.event,
-        dataset.treatment, np.hstack([dataset.covariates, derived]),
-        dataset.covariate_names + names[out_cols[scheme]])
+    return replace(dataset,
+                   covariates=np.hstack([dataset.covariates, derived]),
+                   covariate_names=dataset.covariate_names
+                   + names[out_cols[scheme]])
 
 
-# -- risk-set machinery ---------------------------------------------------------
+# -- risk-set kernel -------------------------------------------------------------
+
+
+class _RiskSets:
+    """Interval rows mapped once onto a sorted time grid.
+
+    Row i is at risk at grid time u_k (start_i < u_k <= stop_i) when
+    lo_i <= k < hi_i, so the at-risk sum of x at u_k is
+    sum_{hi > k} x - sum_{lo > k} x: two bincounts and a suffix cumsum whose
+    partial sums are at-risk totals, so float64 keeps ~1e-14 relative.
+    """
+
+    def __init__(self, grid, start, stop):
+        self.grid = grid
+        self.lo, self.hi = np.searchsorted(grid, (start, stop), side="right")
+
+    def at_risk(self, x):
+        """Sum of the row vector ``x`` over the rows at risk at each grid
+        time."""
+        m = len(self.grid) + 1
+        diff = np.bincount(self.hi, x, m) - np.bincount(self.lo, x, m)
+        return np.cumsum(diff[::-1])[:-1][::-1]
+
+    def at_stop(self, x):
+        """Sum of ``x`` over the rows stopping at each grid time; ``x`` must
+        be zero on rows that stop off the grid."""
+        return np.bincount(self.hi, x, len(self.grid) + 1)[1:]
+
+
+def _risk_sets(dataset: SurvivalDataset):
+    """The kernel of ``dataset`` on its event times and the case-weighted
+    event count at each of them."""
+    grid = np.unique(dataset.stop[dataset.event == 1])
+    rs = _RiskSets(grid, dataset.start, dataset.stop)
+    return rs, rs.at_stop(dataset.weights * dataset.event)
 
 
 def _risk_prefix(grid, start, stop, weights):
-    """Sum of ``weights`` over rows at risk at each grid time (a row covers
-    grid time u when start < u <= stop).  O((n + g) log g)."""
-    lo = np.searchsorted(grid, start, side="right")
-    hi = np.searchsorted(grid, stop, side="right")
-    # extended precision: the +w/-w cumulative sum cancels catastrophically
-    # at late times otherwise, putting a ~1e-6 floor under the Cox gradient
-    diff = np.zeros(len(grid) + 1, dtype=np.longdouble)
-    np.add.at(diff, lo, weights)
-    np.subtract.at(diff, hi, weights)
-    return np.cumsum(diff)[:len(grid)].astype(float)
-
-
-def _event_counts(grid, dataset):
-    mask = dataset.event == 1
-    idx = np.searchsorted(grid, dataset.stop[mask])
-    return np.bincount(idx, minlength=len(grid)).astype(float)
+    """Sum of ``weights`` over rows at risk at each grid time."""
+    return _RiskSets(grid, start, stop).at_risk(weights)
 
 
 # -- nonparametric estimators ----------------------------------------------------
 
 
+def _breslow(dataset: SurvivalDataset, risk) -> StepFunction:
+    """Cumulative hazard with jumps d / sum(Y w risk) at the event times:
+    the Breslow baseline for risk = exp(gamma z), Nelson-Aalen for 1."""
+    rs, d = _risk_sets(dataset)
+    s0 = rs.at_risk(dataset.weights * risk)
+    if np.any(s0[d > 0] <= 0):
+        raise DataError("empty risk set at an event time")
+    return StepFunction(rs.grid, np.cumsum(d / s0), 0.0)
+
+
 def nelson_aalen(dataset: SurvivalDataset) -> StepFunction:
     """Cumulative-hazard estimator: jumps d/Y at event times."""
-    ev = np.unique(dataset.stop[dataset.event == 1])
-    if ev.size == 0:
-        return StepFunction(np.array([]), np.array([]), 0.0)
-    d = _event_counts(ev, dataset)
-    y = _risk_prefix(ev, dataset.start, dataset.stop, np.ones(len(dataset)))
-    return StepFunction(ev, np.cumsum(d / y), 0.0)
+    return _breslow(dataset, 1.0)
 
 
 def kaplan_meier(dataset: SurvivalDataset) -> StepFunction:
     """Product-limit survival estimator; starts at 1."""
-    ev = np.unique(dataset.stop[dataset.event == 1])
-    if ev.size == 0:
-        return StepFunction(np.array([]), np.array([]), 1.0)
-    d = _event_counts(ev, dataset)
-    y = _risk_prefix(ev, dataset.start, dataset.stop, np.ones(len(dataset)))
-    return StepFunction(ev, np.cumprod(1.0 - d / y), 1.0)
+    rs, d = _risk_sets(dataset)
+    y = rs.at_risk(dataset.weights)
+    return StepFunction(rs.grid, np.cumprod(1.0 - d / y), 1.0)
 
 
 # -- Cox model with time-dependent covariates -------------------------------------
@@ -346,22 +380,17 @@ class CoxFit:
     converged: bool = True
 
 
-def _cox_stats(dataset, ev, d, z_events_sum, gamma):
+def _cox_stats(dataset, rs, d, gamma):
     z = dataset.covariates
-    w = np.exp(z @ gamma)
-    p = z.shape[1]
-    s0 = _risk_prefix(ev, dataset.start, dataset.stop, w)
+    cols = range(z.shape[1])
+    z_events_sum = (dataset.weights * dataset.event) @ z
+    w = dataset.weights * np.exp(z @ gamma)
+    s0 = rs.at_risk(w)
     if np.any(s0[d > 0] <= 0):
         raise DataError("empty risk set at an event time")
-    s1 = np.stack([_risk_prefix(ev, dataset.start, dataset.stop, w * z[:, j])
-                   for j in range(p)], axis=1)
-    s2 = np.zeros((len(ev), p, p))
-    for j in range(p):
-        for k in range(j, p):
-            col = _risk_prefix(ev, dataset.start, dataset.stop,
-                               w * z[:, j] * z[:, k])
-            s2[:, j, k] = col
-            s2[:, k, j] = col
+    s1 = np.column_stack([rs.at_risk(w * z[:, j]) for j in cols])
+    s2 = np.stack([np.column_stack([rs.at_risk(w * (z[:, j] * z[:, k]))
+                                    for k in cols]) for j in cols], axis=1)
     mean = s1 / s0[:, None]
     loglik = float(z_events_sum @ gamma - np.sum(d * np.log(s0)))
     grad = z_events_sum - d @ mean
@@ -374,10 +403,7 @@ def log_partial_likelihood(dataset: SurvivalDataset, gamma) -> float:
     """Breslow-ties log partial likelihood at ``gamma`` (used for
     finite-difference checks of the analytic score)."""
     gamma = np.asarray(gamma, dtype=float)
-    ev = np.unique(dataset.stop[dataset.event == 1])
-    d = _event_counts(ev, dataset)
-    zs = dataset.covariates[dataset.event == 1].sum(axis=0)
-    return _cox_stats(dataset, ev, d, zs, gamma)[0]
+    return _cox_stats(dataset, *_risk_sets(dataset), gamma)[0]
 
 
 def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
@@ -385,12 +411,9 @@ def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
     """Damped-Newton fit of the time-dependent-covariate Cox model."""
     if dataset.n_events == 0:
         raise EstimationError("no events: the partial likelihood is empty")
-    ev = np.unique(dataset.stop[dataset.event == 1])
-    d = _event_counts(ev, dataset)
-    zs = dataset.covariates[dataset.event == 1].sum(axis=0)
-    p = dataset.covariates.shape[1]
-    gamma = np.zeros(p)
-    loglik, grad, info = _cox_stats(dataset, ev, d, zs, gamma)
+    rs, d = _risk_sets(dataset)
+    gamma = np.zeros(dataset.covariates.shape[1])
+    loglik, grad, info = _cox_stats(dataset, rs, d, gamma)
     for it in range(1, max_iter + 1):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol:
@@ -407,7 +430,7 @@ def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
         slack = 1e-12 * (1.0 + abs(loglik))
         while True:
             cand = gamma + t * step
-            cand_ll, cand_grad, cand_info = _cox_stats(dataset, ev, d, zs, cand)
+            cand_ll, cand_grad, cand_info = _cox_stats(dataset, rs, d, cand)
             if cand_ll >= loglik - slack:
                 gamma, loglik, grad, info = cand, cand_ll, cand_grad, cand_info
                 break
@@ -424,15 +447,7 @@ def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
 def breslow_baseline(fit: CoxFit, dataset: SurvivalDataset) -> StepFunction:
     """Cumulative baseline hazard: jumps d / sum(Y exp(gamma z)) at event
     times of the supplied (treatment a=0) data."""
-    ev = np.unique(dataset.stop[dataset.event == 1])
-    if ev.size == 0:
-        return StepFunction(np.array([]), np.array([]), 0.0)
-    d = _event_counts(ev, dataset)
-    w = np.exp(dataset.covariates @ fit.coef)
-    s0 = _risk_prefix(ev, dataset.start, dataset.stop, w)
-    if np.any(s0[d > 0] <= 0):
-        raise DataError("empty risk set at an event time")
-    return StepFunction(ev, np.cumsum(d / s0), 0.0)
+    return _breslow(dataset, np.exp(dataset.covariates @ fit.coef))
 
 
 # -- treatment hazard estimator ----------------------------------------------------
@@ -452,29 +467,22 @@ def estimate_rho(dataset: SurvivalDataset, fit: CoxFit) -> StepFunction:
         raise EstimationError("group a=1 is empty")
     if not np.any(dataset.treatment == 0):
         raise EstimationError("group a=0 is empty")
-    g1 = dataset.group(1)
-    g0 = dataset.group(0)
-    grid = np.unique(np.concatenate([
-        g1.stop[g1.event == 1], g0.stop[g0.event == 1]]))
-    if grid.size == 0:
-        return StepFunction(np.array([]), np.array([]), 0.0)
-    d1 = _event_counts(grid, g1)
-    d0 = _event_counts(grid, g0)
-    y1 = _risk_prefix(grid, g1.start, g1.stop, np.ones(len(g1)))
-    e1 = _risk_prefix(grid, g1.start, g1.stop, np.exp(g1.covariates @ fit.coef))
-    e0 = _risk_prefix(grid, g0.start, g0.stop, np.exp(g0.covariates @ fit.coef))
+    # one kernel serves both groups: a group's sums weight the other's rows 0
+    rs, _ = _risk_sets(dataset)
+    w1 = dataset.weights * (dataset.treatment == 1)
+    w0 = dataset.weights * (dataset.treatment == 0)
+    risk = np.exp(dataset.covariates @ fit.coef)
+    d1, d0 = rs.at_stop(w1 * dataset.event), rs.at_stop(w0 * dataset.event)
+    y1, e1, e0 = rs.at_risk(w1), rs.at_risk(w1 * risk), rs.at_risk(w0 * risk)
 
-    needed = (d1 > 0) | (d0 > 0)
-    usable = np.ones(len(grid), dtype=bool)
-    usable[(d1 > 0) & (y1 <= 0)] = False
-    usable[(d0 > 0) & ((y1 <= 0) | (e0 <= 0))] = False
-    cut = len(grid)
-    bad = np.nonzero(needed & ~usable)[0]
+    # every grid time is an event time; the increment there needs group 1
+    # at risk and, when group 0 has an event, a positive group-0 sum
+    bad = np.flatnonzero((y1 <= 0) | ((d0 > 0) & (e0 <= 0)))
+    cut = int(bad[0]) if bad.size else len(rs.grid)
     if bad.size:
-        cut = int(bad[0])
-        warnings.warn(f"empty risk set at t={grid[cut]:g}; "
+        warnings.warn(f"empty risk set at t={rs.grid[cut]:g}; "
                       "truncating the cumulative treatment hazard there")
-    grid = grid[:cut]
+    grid = rs.grid[:cut]
     if grid.size == 0:
         return StepFunction(np.array([]), np.array([]), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -542,33 +550,22 @@ class BootstrapBands:
 
 
 def resample_subjects(dataset: SurvivalDataset, rng) -> SurvivalDataset:
-    """Draw subjects with replacement; copies of a subject get fresh ids."""
-    ids = dataset.subjects
-    picks = rng.integers(0, len(ids), size=len(ids))
-    # rows are grouped by subject, so one linear scan finds every block
-    row_index = {}
-    lo = 0
-    for i in range(1, len(dataset) + 1):
-        if i == len(dataset) or dataset.subject[i] != dataset.subject[lo]:
-            row_index[dataset.subject[lo]] = np.arange(lo, i)
-            lo = i
-    rows = []
-    new_ids = []
-    for k, pick in enumerate(picks):
-        idx = row_index[ids[pick]]
-        rows.append(idx)
-        new_ids.extend([f"b{k}"] * len(idx))
-    rows = np.concatenate(rows)
-    return SurvivalDataset(
-        np.array(new_ids, dtype=object), dataset.start[rows],
-        dataset.stop[rows], dataset.event[rows], dataset.treatment[rows],
-        dataset.covariates[rows], dataset.covariate_names)
+    """Draw subjects with replacement.  A subject drawn k times keeps its
+    rows with k times its case weight; subjects never drawn are dropped."""
+    index = np.cumsum(dataset._first_rows()) - 1
+    n = int(index[-1]) + 1
+    picks = rng.integers(0, n, size=n)
+    w = np.bincount(picks, minlength=n)[index]
+    drawn = dataset.restrict(w > 0)
+    return replace(drawn, weights=drawn.weights * w[w > 0])
 
 
 def bootstrap(dataset: SurvivalDataset, statistic, n_boot, seed, grid=None,
               keep_replicates=False) -> BootstrapBands:
     """Pointwise 2.5/97.5 percentile bands for ``statistic`` (a callable
-    dataset -> StepFunction) under subject resampling.
+    dataset -> StepFunction) under subject resampling.  A replicate holds
+    the drawn subjects' rows with case weights (see
+    :func:`resample_subjects`), so ``statistic`` must honour them.
 
     Each replicate uses an independent stream derived from (seed, replicate)
     so results do not depend on execution order.  Failing replicates are

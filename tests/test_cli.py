@@ -163,6 +163,17 @@ def test_sep_d_flavor_with_lagged_nodes(plain_file, capsys):
     assert _json_out(capsys)["separated"] is True
 
 
+@pytest.mark.parametrize("token", ["S", "S@z"])
+def test_sep_d_flavor_rejects_bad_lag_token(plain_file, capsys, token):
+    code = main(["sep", plain_file, "--flavor", "d", "--from", token,
+                 "--target", "R@2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == "QueryError"
+
+
 def test_sep_granger_flavor(plain_file, capsys):
     code = main(["sep", plain_file, "--flavor", "granger",
                  "--from", "S", "--target", "R", "--given", "Q"])

@@ -103,6 +103,45 @@ def test_cluster_matrix_inverse_identity():
                        atol=1e-12)
 
 
+def _neumann_cluster_matrix(g):
+    """Reference route for (I - G)^{-1}: the Neumann series sum_k G^k, cut
+    when a term falls below 1e-13 (1 - radius); the tail is below
+    ||G^k|| / (1 - radius)."""
+    radius = float(np.max(np.abs(np.linalg.eigvals(g))))
+    term = np.eye(len(g))
+    total = np.eye(len(g))
+    for _ in range(100_000):
+        term = term @ g
+        total += term
+        if float(np.max(np.abs(term))) <= 1e-13 * (1.0 - radius):
+            return total
+    raise AssertionError("Neumann series did not converge")
+
+
+@pytest.mark.parametrize("model", [
+    _two_proc(),
+    fig7_model(g_ma=0.5, g_da=0.1, g_dm=0.6, g_ml=0.0, g_dl=0.0, g_lu=0.0,
+               g_du=0.0, mu=np.full(5, 0.5)),
+    *[random_fig7_model(seed=s) for s in range(10)],
+])
+def test_cluster_matrix_matches_neumann_series(model):
+    assert validate(model).spectral_radius <= 0.8
+    r = expected_cluster_matrix(model)
+    assert np.max(np.abs(r - _neumann_cluster_matrix(model.branching))) \
+        <= 1e-10
+
+
+def test_cluster_matrix_near_critical_two_cycle():
+    # spectral radius 0.9999: the Neumann series would need ~3e5 terms
+    g = 0.9999
+    model = _two_proc(g01=g, g10=g)
+    closed = np.array([[1.0, g], [g, 1.0]]) / (1.0 - g * g)
+    assert np.allclose(expected_cluster_matrix(model), closed,
+                       rtol=1e-10, atol=0.0)
+    assert np.allclose(mean_intensities(model), closed @ model.mu,
+                       rtol=1e-10, atol=0.0)
+
+
 def test_decompose_requires_distinct_roles():
     model = random_fig7_model(seed=1)
     with pytest.raises(ConfigurationError):

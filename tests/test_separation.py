@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import medgraph
 from conftest import mediation_graph_latent
 from medgraph.errors import QueryError, SizeError
 from medgraph.graphs import TailedDirectedGraph, UnrolledDag
@@ -250,3 +256,44 @@ def test_granger_holds_implies_unrolled_separation(seed, lags):
         b_t = {(name, t) for name in b}
         c_t = _past(g, b | c, t) - b_t
         assert d_separated(dag, a_t, b_t, c_t - a_t)
+
+
+# -- witness search and query generation -------------------------------------
+
+
+def _complete_graph(k):
+    """Every edge xi -> xj among k processes, plus T -> x0."""
+    procs = [f"x{i}" for i in range(k)]
+    edges = {(u, v) for u in procs for v in procs if u != v} | {("T", "x0")}
+    return TailedDirectedGraph.build(procs + ["T"], (), edges)
+
+
+def test_separated_witness_search_is_fast_on_complete_graph():
+    g = _complete_graph(10)
+    t0 = time.perf_counter()
+    # the edge out of the target is deleted, so T is isolated from x1
+    assert delta_connecting_path(g, {"x1"}, {"T"}, set()) is None
+    assert granger_noncausal_graphical(g, {"x1"}, {"T"}, set()).status == HOLDS
+    assert time.perf_counter() - t0 < 1.0
+    # a connected query still returns the depth-first witness
+    assert format_path(delta_connecting_path(g, {"T"}, {"x1"}, set())) == \
+        "T -> x0 -> x1"
+
+
+def test_random_query_does_not_depend_on_hash_seed():
+    code = ("import numpy as np\n"
+            "from medgraph.randomgen import random_query, random_rolled_graph\n"
+            "rng = np.random.default_rng(0)\n"
+            "g = random_rolled_graph(rng)\n"
+            "print([sorted(s) for s in random_query("
+            "rng, g.nodes, target_pool=g.process_nodes)])\n")
+    src = os.path.dirname(os.path.dirname(medgraph.__file__))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1] != ""

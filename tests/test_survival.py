@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from medgraph.survival import (CoxFit, EffectCurves, SimulationConfig,
                                StepFunction, SurvivalDataset, bootstrap,
                                breslow_baseline, effect_curves,
                                estimate_effects, estimate_rho, fit_cox_td,
-                               ingest_csv, kaplan_meier,
+                               _risk_prefix, ingest_csv, kaplan_meier,
                                log_partial_likelihood, mediator_summary,
                                nelson_aalen, prothrombin_transform,
                                resample_subjects, simulate_dataset)
@@ -372,6 +375,92 @@ def test_resample_preserves_subject_count():
     ds = _sim_ds(seed=15, n=60)
     rs = resample_subjects(ds, np.random.default_rng(0))
     assert rs.n_subjects == ds.n_subjects
+
+
+# -- case weights and the risk-set kernel -------------------------------------------------
+
+
+def _acceptance5_data():
+    config = SimulationConfig(
+        n_subjects=5000, rho=0.3, gamma=0.5, psi_values=(0.2,),
+        visit_times=(1.0, 2.0), horizon=3.0, mediator_sd=0.5)
+    return simulate_dataset(config, seed=4)
+
+
+def _copy_resample(dataset, rng):
+    """Reference resampler: the rows of every drawn subject are copied under
+    a fresh id, one copy per draw, in draw order."""
+    ids = list(dict.fromkeys(dataset.subject))
+    picks = rng.integers(0, len(ids), size=len(ids))
+    blocks = {}
+    for i, s in enumerate(dataset.subject):
+        blocks.setdefault(s, []).append(i)
+    rows = np.concatenate([blocks[ids[p]] for p in picks])
+    copy_ids = np.array([f"copy{k}" for k, p in enumerate(picks)
+                         for _ in blocks[ids[p]]], dtype=object)
+    return SurvivalDataset(copy_ids, dataset.start[rows], dataset.stop[rows],
+                           dataset.event[rows], dataset.treatment[rows],
+                           dataset.covariates[rows], dataset.covariate_names)
+
+
+def _rel_diff(values, reference):
+    return np.max(np.abs(values - reference)) / np.max(np.abs(reference))
+
+
+def test_weighted_replicates_match_copied_replicates():
+    ds = _acceptance5_data()
+
+    def rho(d):
+        return estimate_rho(d, fit_cox_td(d.group(0)))
+
+    for rep in range(20):
+        weighted = resample_subjects(ds, np.random.default_rng([4, rep]))
+        copied = _copy_resample(ds, np.random.default_rng([4, rep]))
+        assert len(weighted) < len(copied)
+        assert weighted.n_subjects == copied.n_subjects == ds.n_subjects
+        assert weighted.n_events == copied.n_events
+        for statistic in (rho, kaplan_meier):
+            fw, fc = statistic(weighted), statistic(copied)
+            assert np.array_equal(fw.times, fc.times)
+            assert _rel_diff(fw.values, fc.values) <= 1e-12
+
+
+def test_risk_set_sums_match_exact_summation():
+    ds = _acceptance5_data()
+    fit = fit_cox_td(ds.group(0))
+    assert fit.grad_norm <= 1e-8
+    grid = np.unique(ds.stop[ds.event == 1])
+    w = np.exp(ds.covariates @ fit.coef)
+    sums = _risk_prefix(grid, ds.start, ds.stop, w)
+    exact = np.array([math.fsum(w[(ds.start < u) & (u <= ds.stop)])
+                      for u in grid])
+    assert np.max(np.abs(sums - exact) / exact) <= 1e-13
+
+
+def test_case_weights_count_subjects_and_events():
+    ds = _simple_ds(treatment=(1, 1, 0, 0))
+    weighted = replace(ds, weights=np.array([2, 1, 1, 3]))
+    s = weighted.summary()
+    assert s["subjects"] == 7 and s["events"] == 3 and s["rows"] == 4
+    assert s["subjects_by_treatment"] == {0: 4, 1: 3}
+    assert s["events_by_treatment"] == {0: 1, 1: 2}
+    assert weighted.group(0).n_subjects == 4
+    # weight 2 on the first death matches a duplicated subject
+    doubled = SurvivalDataset.build(
+        ["s1", "s1b", "s2", "s3", "s4"], [0.0] * 5, [1.0, 1.0, 2.0, 3.0, 4.0],
+        [1, 1, 0, 1, 0], [0] * 5, np.zeros((5, 1)), ("m",))
+    w2 = replace(_simple_ds(), weights=np.array([2, 1, 1, 1]))
+    assert np.array_equal(kaplan_meier(w2).values,
+                          kaplan_meier(doubled).values)
+    assert np.array_equal(nelson_aalen(w2).values,
+                          nelson_aalen(doubled).values)
+
+
+@pytest.mark.parametrize("weights", [[1, 0, 1, 1], [1, 1, np.inf, 1],
+                                     [1, 1, 1]])
+def test_case_weights_are_validated(weights):
+    with pytest.raises(DataError):
+        replace(_simple_ds(), weights=np.array(weights, dtype=float))
 
 
 # -- simulation oracle ---------------------------------------------------------------------
