@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import MedgraphError
+from .errors import ConfigurationError, MedgraphError
 from .graphs import format_unrolled_lig, parse_lig
 from .mediation import MediationGraph, check_assumptions
 from .separation import (d_connecting_path, delta_connecting_path,
@@ -79,18 +79,44 @@ def _envelope(seed, inputs):
     }
 
 
+class UsageError(Exception):
+    """Bad invocation found after argument parsing; exits like a parse
+    error."""
+
+
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("MEDGRAPH_SEED")
-    return int(env) if env else 0
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get("MEDGRAPH_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise UsageError(f"MEDGRAPH_SEED={env!r} is not an integer") from None
+    if seed < 0:
+        raise UsageError(f"seed {seed} is negative")
+    return seed
+
+
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _write(path, text, force):
+    """Write ``text``, a string or an iterable of strings, to ``path``."""
     if os.path.exists(path) and not force:
         raise MedgraphError(f"refusing to overwrite {path}; pass --force")
     with open(path, "w") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -152,8 +178,7 @@ def cmd_unroll(args):
 def cmd_simulate(args):
     from . import scm as scm_mod
     seed = _resolve_seed(args)
-    with open(args.scm) as fh:
-        model = scm_mod.scm_from_dict(json.load(fh))
+    model = scm_mod.scm_from_dict(_load_json(args.scm))
     out = _envelope(seed, [args.scm])
     out["query"] = {"kind": args.query, "a": args.a, "astar": args.astar,
                     "t": args.t}
@@ -234,21 +259,28 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
+def _event_lines(stream, names):
+    """The ``events.csv`` text in chunks of rows, so the whole file is never
+    held as strings at once; times are formatted as ``_fmt17`` does."""
+    chunk = 1 << 16
+    yield "time,process\n"
+    for lo in range(0, len(stream), chunk):
+        yield "".join(f"{t:.17g},{names[p]}\n" for t, p in
+                      zip(stream.times[lo:lo + chunk].tolist(),
+                          stream.procs[lo:lo + chunk].tolist()))
+
+
 def cmd_hawkes(args):
     from . import hawkes as hk
     seed = _resolve_seed(args)
-    with open(args.model) as fh:
-        model = hk.model_from_dict(json.load(fh))
+    model = hk.model_from_dict(_load_json(args.model))
     os.makedirs(args.out, exist_ok=True)
     artifacts = {}
     stream = None
     if args.simulate:
         stream = hk.simulate(model, args.simulate, seed)
-        lines = ["time,process"]
-        lines += [f"{_fmt17(t)},{model.names[p]}"
-                  for t, p in zip(stream.times, stream.procs)]
         _write(os.path.join(args.out, "events.csv"),
-               "\n".join(lines) + "\n", args.force)
+               _event_lines(stream, model.names), args.force)
         artifacts["events"] = len(stream)
     if args.identify:
         if stream is not None:
@@ -455,7 +487,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         sys.stderr.write(dumps({"error": {"code": "usage",
                                           "message": str(exc)}}))
         return EXIT_USAGE

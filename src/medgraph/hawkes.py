@@ -2,10 +2,11 @@
 
 The model is the continuous-time mediation example: observable processes
 A (exposure), M (mediator), D (outcome), L (proxy) plus a latent process U
-feeding L and D.  The module provides cluster-representation simulation,
-exact and empirical integrated covariance, and the moment-based
-identification of the direct (G_DA) and mediated (G_DM * G_MA) effects from
-the observable covariance alone.
+feeding L and D.  The module provides simulation by the cluster
+representation, drawing a whole generation of every cluster in one
+vectorized step, exact and empirical integrated covariance, and the
+moment-based identification of the direct (G_DA) and mediated (G_DM * G_MA)
+effects from the observable covariance alone.
 
 Conventions: G[i, j] is the expected number of direct i-events caused by one
 j-event (the integral of the kernel g_ij); kernels are g_ij(t) =
@@ -51,6 +52,8 @@ class HawkesModel:
         n = len(mu)
         if g.shape != (n, n) or beta.shape != (n, n):
             raise ConfigurationError("mu, branching and decay dimensions differ")
+        if not all(np.all(np.isfinite(x)) for x in (mu, g, beta)):
+            raise ConfigurationError("mu, branching and decay must be finite")
         if not self.names:
             object.__setattr__(self, "names", tuple(f"p{i}" for i in range(n)))
         if len(self.names) != n:
@@ -232,60 +235,53 @@ class EventStream:
         return len(self.times)
 
 
-def _spawn_children(model, t, j, horizon, rng):
-    """Children of one type-j event at time t, per the cluster
-    representation: counts are Poisson with the truncated kernel mass, and
-    offsets follow the truncated exponential."""
-    out = []
-    rem = horizon - t
-    for i in range(model.dimension):
-        mass = model.branching[i, j]
-        if mass <= 0:
-            continue
-        beta = model.decay[i, j]
-        trunc = 1.0 - np.exp(-beta * rem)
-        k = rng.poisson(mass * trunc)
-        if k == 0:
-            continue
-        u = rng.uniform(size=k)
-        offsets = -np.log1p(-u * trunc) / beta
-        out.extend((t + dt, i) for dt in offsets)
-    return out
+def _sample_clusters(model, times, procs, horizon, rng):
+    """Grow the clusters of the given roots up to ``horizon``, a generation
+    per step.  Along each edge j -> i, a type-j event at time t has
+    Poisson(G_ij (1 - e^{-beta_ij (h - t)})) type-i children at truncated-
+    exponential offsets (inverse CDF).  Returns times, processes, root
+    indices and generations, ordered by generation."""
+    g, beta = model.branching, model.decay
+    edges = np.argwhere(g > 0)
+    out = [(times, procs, np.arange(len(times)))]
+    while out[-1][0].size and edges.size:
+        gen_t, gen_p, gen_r = out[-1]
+        kids = []
+        for i, j in edges:
+            sel = np.flatnonzero(gen_p == j)
+            trunc = -np.expm1(-beta[i, j] * (horizon - gen_t[sel]))
+            k = rng.poisson(g[i, j] * trunc)
+            u = rng.uniform(size=k.sum()) * np.repeat(trunc, k)
+            ct = np.repeat(gen_t[sel], k) - np.log1p(-u) / beta[i, j]
+            kids.append((np.minimum(ct, horizon), np.full(ct.size, i),
+                         np.repeat(gen_r[sel], k)))
+        out.append(tuple(np.concatenate(c) for c in zip(*kids)))
+        if sum(o[0].size for o in out) > EVENT_BUDGET:
+            raise SizeError("event budget exceeded during simulation")
+    times, procs, roots = (np.concatenate(c) for c in zip(*out))
+    gens = np.repeat(np.arange(len(out)), [o[0].size for o in out])
+    return times, procs, roots, gens
 
 
 def simulate(model: HawkesModel, t_end, seed) -> EventStream:
-    """Cluster-representation sampler: immigrants are homogeneous Poisson,
-    each event spawns Poisson numbers of children per target process."""
-    validate(model)
-    if t_end <= 0:
-        raise ConfigurationError("t_end must be positive")
+    """Cluster-representation sampler: immigrants are homogeneous Poisson
+    per process, and their clusters are drawn a whole generation at a time.
+    Root ids number the immigrants by process, then by time."""
+    if not 0.0 < t_end < np.inf:
+        raise ConfigurationError("t_end must be positive and finite")
     expected = float(mean_intensities(model).sum() * t_end)
     if expected > EVENT_BUDGET:
         raise SizeError(f"expected {expected:.3g} events exceeds the "
                         f"{EVENT_BUDGET} budget")
     rng = np.random.default_rng(seed)
-    times, procs, roots, gens = [], [], [], []
-    root_id = 0
-    for i in range(model.dimension):
-        count = rng.poisson(model.mu[i] * t_end)
-        for t in np.sort(rng.uniform(0.0, t_end, size=count)):
-            stack = [(float(t), i, 0)]
-            while stack:
-                s, j, gen = stack.pop()
-                times.append(s)
-                procs.append(j)
-                roots.append(root_id)
-                gens.append(gen)
-                if len(times) > EVENT_BUDGET:
-                    raise SizeError("event budget exceeded during simulation")
-                stack.extend((ct, ci, gen + 1)
-                             for ct, ci in _spawn_children(model, s, j, t_end, rng))
-            root_id += 1
+    procs = np.repeat(np.arange(model.dimension), rng.poisson(model.mu * t_end))
+    times = rng.uniform(0.0, t_end, size=procs.size)
+    order = np.lexsort((times, procs))
+    times, procs, roots, gens = _sample_clusters(
+        model, times[order], procs[order], float(t_end), rng)
     order = np.argsort(times, kind="stable")
-    return EventStream(np.asarray(times)[order], np.asarray(procs, dtype=int)[order],
-                       float(t_end), model.dimension,
-                       np.asarray(roots, dtype=int)[order],
-                       np.asarray(gens, dtype=int)[order])
+    return EventStream(times[order], procs[order], float(t_end),
+                       model.dimension, roots[order], gens[order])
 
 
 def simulate_clusters(model: HawkesModel, root_type, n_clusters, horizon,
@@ -293,17 +289,20 @@ def simulate_clusters(model: HawkesModel, root_type, n_clusters, horizon,
     """Event counts by process over ``n_clusters`` independent clusters each
     rooted at one time-0 event of ``root_type`` (an injected event; its
     cluster is distributed like an intrinsic one)."""
-    validate(model)
+    n = model.dimension
     j0 = model.index(root_type) if isinstance(root_type, str) else int(root_type)
-    rng = np.random.default_rng(seed)
-    counts = np.zeros((n_clusters, model.dimension), dtype=int)
-    for k in range(n_clusters):
-        stack = [(0.0, j0)]
-        while stack:
-            t, j = stack.pop()
-            counts[k, j] += 1
-            stack.extend(_spawn_children(model, t, j, horizon, rng))
-    return counts
+    if not 0 <= j0 < n or n_clusters < 0 or not 0.0 < horizon < np.inf:
+        raise ConfigurationError("need a root process of the model, "
+                                 "n_clusters >= 0 and a finite horizon > 0")
+    expected = n_clusters * float(expected_cluster_matrix(model)[:, j0].sum())
+    if expected > EVENT_BUDGET:
+        raise SizeError(f"expected {expected:.3g} events exceeds the "
+                        f"{EVENT_BUDGET} budget")
+    _, procs, roots, _ = _sample_clusters(
+        model, np.zeros(n_clusters), np.full(n_clusters, j0), float(horizon),
+        np.random.default_rng(seed))
+    return np.bincount(roots * n + procs,
+                       minlength=n_clusters * n).reshape(n_clusters, n)
 
 
 # -- integrated covariance ----------------------------------------------------------

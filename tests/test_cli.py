@@ -287,3 +287,60 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert first.count("PASS") == 5 and "FAIL" not in first
     assert main(["selftest", "--seed", "0"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_hawkes_events_csv_is_the_full_precision_stream(hawkes_file, tmp_path,
+                                                        capsys):
+    from medgraph.hawkes import simulate
+    out_dir = tmp_path / "hk"
+    assert main(["hawkes", "--model", hawkes_file, "--simulate", "300",
+                 "--out", str(out_dir), "--seed", "4"]) == 0
+    model = random_fig7_model(seed=8)
+    stream = simulate(model, 300.0, 4)
+    expected = "time,process\n" + "".join(
+        f"{format(float(t), '.17g')},{model.names[p]}\n"
+        for t, p in zip(stream.times, stream.procs))
+    assert (out_dir / "events.csv").read_text() == expected
+
+
+# -- hostile input -------------------------------------------------------------------
+
+
+def _single_error(capsys):
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("text", ["{bad", "", "[1, 2]", "\x00\xff"])
+@pytest.mark.parametrize("command", ["hawkes", "simulate"])
+def test_malformed_json_model_is_domain_error(command, text, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    if command == "hawkes":
+        argv = ["hawkes", "--model", str(path), "--identify",
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["simulate", "--scm", str(path), "--query", "gformula"]
+    assert main(argv) == 1
+    assert _single_error(capsys)["code"] == "ConfigurationError"
+
+
+def test_negative_seed_is_usage_error_before_any_output(survival_csv,
+                                                        tmp_path, capsys):
+    out_dir = tmp_path / "est"
+    assert main(["estimate", "--data", survival_csv, "--out", str(out_dir),
+                 "--boot", "3", "--seed", "-1"]) == 2
+    assert _single_error(capsys)["code"] == "usage"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "seven"])
+def test_bad_seed_environment_is_usage_error(value, hawkes_file, tmp_path,
+                                             capsys, monkeypatch):
+    monkeypatch.setenv("MEDGRAPH_SEED", value)
+    out_dir = tmp_path / "hk"
+    assert main(["hawkes", "--model", hawkes_file, "--simulate", "50",
+                 "--out", str(out_dir)]) == 2
+    assert _single_error(capsys)["code"] == "usage"
+    assert not out_dir.exists()

@@ -344,3 +344,111 @@ def test_model_round_trip():
 def test_model_from_dict_missing_field():
     with pytest.raises(ConfigurationError):
         model_from_dict({"mu": [1.0]})
+
+
+# -- boundary checks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["mu", "branching", "decay"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_rejects_non_finite_parameters(field, bad):
+    parts = {"mu": np.array([0.5, 0.5]),
+             "branching": np.array([[0.0, 0.4], [0.3, 0.0]]),
+             "decay": np.ones((2, 2))}
+    parts[field].flat[1] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        HawkesModel(parts["mu"], parts["branching"], parts["decay"])
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, 0.0, -1.0])
+def test_simulation_rejects_bad_horizon(t_end):
+    with pytest.raises(ConfigurationError):
+        simulate(_two_proc(), t_end=t_end, seed=0)
+
+
+@pytest.mark.parametrize("n_clusters, horizon, root", [
+    (-1, 10.0, 0), (5, np.nan, 0), (5, np.inf, 0), (5, 0.0, 0),
+    (5, -2.0, 0), (5, 10.0, 2), (5, 10.0, -1)])
+def test_cluster_simulation_rejects_bad_arguments(n_clusters, horizon, root):
+    with pytest.raises(ConfigurationError):
+        simulate_clusters(_two_proc(), root, n_clusters, horizon, seed=0)
+
+
+def test_cluster_simulation_budget_is_checked_before_drawing():
+    # 10^15 clusters would need petabytes if anything were allocated
+    with pytest.raises(SizeError):
+        simulate_clusters(_two_proc(), 0, 10**15, 10.0, seed=0)
+
+
+def test_cluster_simulation_with_no_clusters():
+    assert simulate_clusters(_two_proc(), 0, 0, 10.0, seed=0).shape == (0, 2)
+
+
+# -- sampler checks that do not reuse the sampler's formulas ----------------------------
+
+
+def _cycle_model():
+    g = np.array([[0.0, 0.3, 0.2], [0.4, 0.0, 0.1], [0.2, 0.3, 0.0]])
+    beta = np.array([[1.0, 2.0, 1.5], [0.8, 1.0, 3.0], [1.2, 2.5, 1.0]])
+    return HawkesModel(np.array([0.3, 0.2, 0.4]), g, beta)
+
+
+def test_cluster_count_covariance_matches_offspring_recursion():
+    # Each j-event has Poisson(G_ij) direct i-children, each the root of an
+    # independent i-cluster.  So the mean count vectors satisfy
+    # r_j = e_j + sum_i G_ij r_i, and by the compound-Poisson variance the
+    # count covariances satisfy S_j = sum_i G_ij (S_i + r_i r_i^T).
+    model = _cycle_model()
+    g, n = model.branching, model.dimension
+    r = np.eye(n)
+    for _ in range(500):
+        r = np.eye(n) + r @ g                  # column j is r_j
+    s = np.zeros((n, n, n))                    # s[j] is S_j
+    for _ in range(500):
+        s = np.einsum("ij,iab->jab", g, s + np.einsum("ai,bi->iab", r, r))
+    counts = simulate_clusters(model, 0, 50_000, 400.0, seed=11)
+    emp = np.cov(counts, rowvar=False)
+    assert np.allclose(counts.mean(axis=0), r[:, 0], rtol=0.03)
+    assert np.all(np.abs(np.diag(emp) - np.diag(s[0])) <= 0.10 * np.diag(s[0]))
+
+
+def test_mediator_delay_after_its_root_is_exponential():
+    # A -> M only: every M event is a first-generation child of an A root,
+    # delayed by the kernel's Exp(beta_MA) law.  Roots more than 40 time
+    # units before the horizon see an untruncated kernel (mass left e^{-60}).
+    # The unused decay entries differ, so a transposed lookup shows.
+    beta, t_end = 1.5, 20_000.0
+    g = np.array([[0.0, 0.0], [0.8, 0.0]])
+    model = HawkesModel(np.array([1.0, 0.0]), g,
+                        np.array([[1.0, 0.4], [beta, 1.0]]))
+    stream = simulate(model, t_end, seed=3)
+    root_time = np.full(stream.roots.max() + 1, np.nan)
+    first = stream.generations == 0
+    root_time[stream.roots[first]] = stream.times[first]
+    is_m = stream.procs == 1
+    start = root_time[stream.roots[is_m]]
+    x = np.sort((stream.times[is_m] - start)[start < t_end - 40.0])
+    n = len(x)
+    assert n > 10_000
+    cdf = -np.expm1(-beta * x)
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf),
+             np.max(cdf - np.arange(n) / n))
+    assert ks <= 1.63 / np.sqrt(n)
+
+
+def test_every_root_starts_its_own_cluster():
+    model = _cycle_model()
+    stream = simulate(model, 2_000.0, seed=4)
+    first = stream.generations == 0
+    n_roots = int(stream.roots.max()) + 1
+    assert np.array_equal(np.bincount(stream.roots[first], minlength=n_roots),
+                          np.ones(n_roots, dtype=int))
+    root_time = np.empty(n_roots)
+    root_proc = np.empty(n_roots, dtype=int)
+    root_time[stream.roots[first]] = stream.times[first]
+    root_proc[stream.roots[first]] = stream.procs[first]
+    assert np.all(stream.times >= root_time[stream.roots])
+    # root ids number the immigrants by process, then by time
+    assert np.all(np.diff(root_proc) >= 0)
+    for p in range(model.dimension):
+        assert np.all(np.diff(root_time[root_proc == p]) > 0)
