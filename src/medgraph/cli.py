@@ -233,30 +233,32 @@ def cmd_estimate(args):
     _write(os.path.join(args.out, "fit.json"), dumps(fit_out), args.force)
 
     rho = result.rho_hat
-    lines = ["t,rho_hat"]
-    lines += [f"{_fmt17(t)},{_fmt17(v)}" for t, v in zip(rho.times, rho.values)]
-    _write(os.path.join(args.out, "rho.csv"), "\n".join(lines) + "\n", args.force)
+    _write(os.path.join(args.out, "rho.csv"),
+           _float_csv("t,rho_hat", [rho.times, rho.values]), args.force)
 
     cv = result.curves
     header = "t,SDE,SIE,total"
-    bands = None
+    cols = [cv.times, cv.sde, cv.sie, cv.total]
     if args.boot:
         bands = sv.bootstrap(
             ds, lambda d: sv.estimate_rho(d, sv.fit_cox_td(d.group(0))),
             args.boot, seed, grid=cv.times)
         header += ",rho_lower,rho_upper"
-    lines = [header]
-    for k, t in enumerate(cv.times):
-        row = [t, cv.sde[k], cv.sie[k], cv.total[k]]
-        if bands is not None:
-            row += [bands.lower[k], bands.upper[k]]
-        lines.append(",".join(_fmt17(x) for x in row))
-    _write(os.path.join(args.out, "effects.csv"), "\n".join(lines) + "\n",
+        cols += [bands.lower, bands.upper]
+    _write(os.path.join(args.out, "effects.csv"), _float_csv(header, cols),
            args.force)
     sys.stdout.write(dumps({"out": args.out,
                             "subjects": ds.n_subjects,
                             "events": ds.n_events}))
     return EXIT_OK
+
+
+def _float_csv(header, columns):
+    """CSV text of float columns under ``header``, every value formatted
+    as ``_fmt17`` does."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return header + "\n" + "".join(line % row for row in rows)
 
 
 def _event_lines(stream, names):

@@ -490,3 +490,6 @@ def model_from_dict(d: dict) -> HawkesModel:
         )
     except KeyError as exc:
         raise ConfigurationError(f"model file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"model file field is not a numeric array "
+                                 f"of the right shape: {exc}") from exc

@@ -19,8 +19,11 @@ every estimator here does.  All estimators share one risk-set kernel.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -113,6 +116,12 @@ class SurvivalDataset:
             raise DataError("empty dataset")
         if covariates.shape[1] != len(covariate_names):
             raise DataError("covariate name count does not match columns")
+        finite = np.isfinite(start) & np.isfinite(stop) \
+            & np.isfinite(covariates).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DataError(f"non-finite interval bound or covariate for "
+                            f"subject {subject[bad]!r}")
         if np.any(start >= stop):
             bad = int(np.argmax(start >= stop))
             raise DataError(f"interval_start >= interval_stop for subject "
@@ -122,24 +131,35 @@ class SurvivalDataset:
         if not set(np.unique(treatment)) <= {0, 1}:
             raise DataError("treatment must be 0 or 1")
 
-        # stable sort: subjects keep first-appearance order, intervals by start
-        first_seen: dict = {}
-        for s in subject:
-            first_seen.setdefault(s, len(first_seen))
-        order = np.lexsort((start, np.array([first_seen[s] for s in subject])))
-        subject, start, stop = subject[order], start[order], stop[order]
-        event, treatment = event[order], treatment[order]
-        covariates = covariates[order]
+        # stable sort: subjects keep first-appearance order, intervals by
+        # start; a row's key is the first run of adjacent rows of its subject
+        run = np.ones(n, dtype=bool)
+        run[1:] = subject[1:] != subject[:-1]
+        key = np.cumsum(run) - 1
+        heads = subject[run]
+        if len(set(heads)) < len(heads):  # a subject's rows are not adjacent
+            first = dict(zip(heads[::-1], range(len(heads) - 1, -1, -1)))
+            key = np.fromiter(map(first.__getitem__, heads), dtype=np.intp,
+                              count=len(heads))[key]
+        if np.any((key[1:] < key[:-1])
+                  | ((key[1:] == key[:-1]) & (start[1:] < start[:-1]))):
+            order = np.lexsort((start, key))
+            subject, start, stop = subject[order], start[order], stop[order]
+            event, treatment = event[order], treatment[order]
+            covariates, key = covariates[order], key[order]
 
-        for i in range(1, n):
-            if subject[i] != subject[i - 1]:
-                continue
-            if start[i] < stop[i - 1]:
-                raise DataError(f"overlapping intervals for subject {subject[i]!r}")
-            if event[i - 1] == 1:
-                raise DataError(f"event interval is not last for subject {subject[i]!r}")
-            if treatment[i] != treatment[i - 1]:
-                raise DataError(f"treatment changes within subject {subject[i]!r}")
+        same = key[1:] == key[:-1]
+        checks = (("overlapping intervals for subject",
+                   same & (start[1:] < stop[:-1])),
+                  ("event interval is not last for subject",
+                   same & (event[:-1] == 1)),
+                  ("treatment changes within subject",
+                   same & (treatment[1:] != treatment[:-1])))
+        bad = np.flatnonzero(checks[0][1] | checks[1][1] | checks[2][1])
+        if bad.size:
+            i = int(bad[0])
+            message = next(m for m, mask in checks if mask[i])
+            raise DataError(f"{message} {subject[i + 1]!r}")
         return cls(subject, start, stop, event, treatment, covariates,
                    tuple(covariate_names))
 
@@ -197,45 +217,94 @@ class SurvivalDataset:
         }
 
 
+CSV_CHUNK_ROWS = 1 << 13
+
+
 def ingest_csv(path, columns) -> SurvivalDataset:
     """Load a counting-process CSV.
 
     ``columns`` maps the roles {'id', 'start', 'stop', 'event', 'treatment'}
-    to header names and 'covariates' to a list of numeric columns.  Cell
-    errors are reported with the 1-based data row number.
+    to header names and 'covariates' to a list of numeric columns.  The
+    ``csv`` module splits the file into rows, ``CSV_CHUNK_ROWS`` at a time,
+    and each needed column of a chunk becomes an array in one numpy call,
+    which parses a cell as Python's ``float`` or ``int`` does.  Blank lines
+    are skipped and not counted; a repeated header name means its last
+    column.  A cell that does not parse, a non-finite number, or a row too
+    short to hold a needed cell is reported with the 1-based data row
+    number of the first such row.
     """
     required = ("id", "start", "stop", "event", "treatment")
     missing = [k for k in required if k not in columns]
     if missing:
         raise ConfigurationError(f"column map missing roles: {missing}")
     cov_cols = list(columns.get("covariates", []))
-    rows = []
+    needed = [columns[k] for k in required] + cov_cols
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError("empty file: no header row")
-        needed = [columns[k] for k in required] + cov_cols
-        absent = [c for c in needed if c not in reader.fieldnames]
+        where = {name: j for j, name in enumerate(header)}
+        absent = [c for c in needed if c not in where]
         if absent:
             raise DataError(f"missing columns: {absent}")
-        for rownum, rec in enumerate(reader, start=1):
-            try:
-                rows.append((
-                    rec[columns["id"]],
-                    float(rec[columns["start"]]),
-                    float(rec[columns["stop"]]),
-                    int(rec[columns["event"]]),
-                    int(rec[columns["treatment"]]),
-                    [float(rec[c]) for c in cov_cols],
-                ))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"row {rownum}: non-numeric cell ({exc})") from exc
-    if not rows:
+        index = [where[c] for c in needed]
+        chunks, done = [], 0
+        for lines in iter(lambda: list(islice(reader, CSV_CHUNK_ROWS)), []):
+            rows = list(filter(None, lines))
+            if rows:
+                chunks.append(_chunk_columns(rows, index, needed, done))
+                done += len(rows)
+            del lines, rows  # so the last chunk is not held through build
+    if not chunks:
         raise DataError("empty dataset: no data rows")
-    subject, start, stop, event, treatment, covs = zip(*rows)
-    return SurvivalDataset.build(subject, start, stop, event, treatment,
-                                 np.array(covs, dtype=float).reshape(len(rows), -1),
-                                 tuple(cov_cols))
+    cols = [np.concatenate(c) for c in zip(*chunks)]
+    del chunks
+    return SurvivalDataset.build(*cols, tuple(cov_cols))
+
+
+def _chunk_columns(rows, index, names, done):
+    """The id, start, stop, event and treatment columns and the covariate
+    matrix of one chunk of CSV rows; ``done`` data rows precede it."""
+    def column(j, kind):
+        return np.fromiter(map(itemgetter(j), rows), dtype=kind,
+                           count=len(rows))
+
+    try:
+        cols = [column(j, kind) for j, kind in
+                zip(index, (object, float, float, int, int))]
+        covs = np.empty((len(rows), len(index) - 5))
+        for k, j in enumerate(index[5:]):
+            covs[:, k] = column(j, float)
+    except (IndexError, TypeError, ValueError, OverflowError):
+        _raise_first_bad_row(rows, index, names, done)
+    if not (np.isfinite(cols[1]).all() and np.isfinite(cols[2]).all()
+            and np.isfinite(covs).all()):
+        _raise_first_bad_row(rows, index, names, done)
+    return cols + [covs]
+
+
+def _raise_first_bad_row(rows, index, names, done):
+    """Raise the DataError for the first row of a chunk that has a cell
+    that does not parse, a non-finite number, or too few cells.  Only a
+    chunk that failed its column-wise conversion is scanned row by row."""
+    def whole(cell):  # an int64, as the column-wise conversion makes it
+        return np.int64(int(cell))
+
+    parse = [float, float, whole, whole] + [float] * (len(index) - 5)
+    for rownum, row in enumerate(rows, start=done + 1):
+        cells = [row[j] if j < len(row) else None for j in index]
+        try:
+            values = [f(c) for f, c in zip(parse, cells[1:])]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"row {rownum}: non-numeric cell ({exc})") from exc
+        if cells[0] is None:
+            raise DataError(f"row {rownum}: no cell in column {names[0]!r}")
+        for name, cell, v in zip(names[1:], cells[1:], values):
+            if not math.isfinite(v):
+                raise DataError(f"row {rownum}: non-finite cell {cell!r} in "
+                                f"column {name!r}")
+    raise DataError(f"rows {done + 1}-{done + len(rows)}: unreadable cells")
 
 
 # -- mediator summaries --------------------------------------------------------
@@ -256,48 +325,63 @@ def mediator_summary(dataset: SurvivalDataset, mediator_col, scheme,
     Schemes: 'last' (current value), 'mean_all' (running mean),
     'weighted' (exponentially decaying weights, most recent first; needs
     ``decay`` in (0, 1]), 'two_part' (means before/after ``split``; an empty
-    part borrows the other part's mean).
+    part borrows the other part's mean).  Every mean is a ratio of two
+    running sums from :func:`_decayed_sums`.
     """
     raw = dataset.column(mediator_col)
-    n = len(dataset)
     if scheme == "weighted":
         if decay is None or not 0 < decay <= 1:
             raise ConfigurationError("'weighted' needs a decay factor in (0, 1]")
     if scheme == "two_part" and split is None:
         raise ConfigurationError("'two_part' needs a split time")
 
-    out_cols = {"last": 1, "mean_all": 1, "weighted": 1, "two_part": 2}
-    if scheme not in out_cols:
+    if scheme == "last":
+        derived = raw[:, None]
+    elif scheme in ("mean_all", "weighted"):
+        sums = _decayed_sums(dataset,
+                             np.column_stack([raw, np.ones(len(dataset))]),
+                             decay if scheme == "weighted" else 1.0)
+        derived = sums[:, :1] / sums[:, 1:]
+    elif scheme == "two_part":
+        early = dataset.start < split
+        sums = _decayed_sums(dataset, np.column_stack(
+            [np.where(early, raw, 0.0), early, np.where(early, 0.0, raw),
+             ~early]), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e, l = sums[:, 0] / sums[:, 1], sums[:, 2] / sums[:, 3]
+        e = np.where(sums[:, 1] > 0, e, l)
+        derived = np.column_stack([e, np.where(sums[:, 3] > 0, l, e)])
+    else:
         raise ConfigurationError(f"unknown summary scheme {scheme!r}")
-    derived = np.zeros((n, out_cols[scheme]))
-
-    # dataset rows are sorted by subject, then start
-    bounds = np.append(np.flatnonzero(dataset._first_rows()), n)
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        vals = raw[i:j]
-        starts = dataset.start[i:j]
-        for k in range(j - i):
-            hist = vals[:k + 1]
-            if scheme == "last":
-                derived[i + k, 0] = hist[-1]
-            elif scheme == "mean_all":
-                derived[i + k, 0] = hist.mean()
-            elif scheme == "weighted":
-                w = decay ** np.arange(len(hist))[::-1]
-                derived[i + k, 0] = float(np.dot(w, hist) / w.sum())
-            else:
-                early = hist[starts[:k + 1] < split]
-                late = hist[starts[:k + 1] >= split]
-                e = early.mean() if early.size else (late.mean() if late.size else 0.0)
-                l = late.mean() if late.size else e
-                derived[i + k] = (e, l)
 
     names = {1: (f"{mediator_col}_{scheme}",),
              2: (f"{mediator_col}_{scheme}_early", f"{mediator_col}_{scheme}_late")}
     return replace(dataset,
                    covariates=np.hstack([dataset.covariates, derived]),
                    covariate_names=dataset.covariate_names
-                   + names[out_cols[scheme]])
+                   + names[derived.shape[1]])
+
+
+def _decayed_sums(dataset: SurvivalDataset, values, decay):
+    """Running sums S_k = decay * S_{k-1} + x_k of each column of
+    ``values`` along every subject's rows, restarting at each subject's
+    first row.
+
+    The loop steps over the position within a subject, each step
+    vectorized across the subjects that have a row there, so it runs as
+    many times as the longest subject has rows.  Every sum stays local to
+    its subject, so its rounding error scales with that subject's values,
+    not with a running total over the file.
+    """
+    sums = np.array(values, dtype=float)
+    heads = np.flatnonzero(dataset._first_rows())
+    lengths = np.diff(np.append(heads, len(dataset)))
+    longest_first = heads[np.argsort(-lengths, kind="stable")]
+    longer = len(heads) - np.cumsum(np.bincount(lengths))
+    for k in range(1, lengths.max()):
+        rows = longest_first[:longer[k]] + k
+        sums[rows] = decay * sums[rows - 1] + sums[rows]
+    return sums
 
 
 # -- risk-set kernel -------------------------------------------------------------
@@ -623,6 +707,12 @@ class SimulationConfig:
                                      "match the value list")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
+        if self.n_subjects < 0:
+            raise ConfigurationError("n_subjects must not be negative")
+        if not self.mediator_sd >= 0:
+            raise ConfigurationError("mediator_sd must not be negative")
+        if not 0 <= self.treated_fraction <= 1:
+            raise ConfigurationError("treated_fraction must lie in [0, 1]")
 
 
 def simulate_dataset(config: SimulationConfig, seed) -> SurvivalDataset:

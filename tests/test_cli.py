@@ -344,3 +344,46 @@ def test_bad_seed_environment_is_usage_error(value, hawkes_file, tmp_path,
                  "--out", str(out_dir)]) == 2
     assert _single_error(capsys)["code"] == "usage"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"mu": "x"},
+    {"branching": [[0.0, 0.1], [0.2]]},
+    {"decay": [[1.0, {"b": 2}], [1.0, 1.0]]},
+    {"mu": None},
+    {"names": 5},
+])
+def test_non_numeric_model_fields_are_domain_errors(fields, tmp_path, capsys):
+    model = {"mu": [0.5, 0.5], "branching": [[0.0, 0.1], [0.2, 0.0]],
+             "decay": [[1.0, 1.0], [1.0, 1.0]], **fields}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["hawkes", "--model", str(path), "--simulate", "10",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert _single_error(capsys)["code"] == "ConfigurationError"
+
+
+def test_estimate_rejects_non_finite_cell_with_its_row(survival_csv, tmp_path,
+                                                       capsys):
+    lines = open(survival_csv).read().splitlines()
+    cells = lines[7].split(",")
+    cells[-1] = "nan"
+    lines[7] = ",".join(cells)
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--data", str(path), "--out",
+                 str(tmp_path / "res")]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "DataError"
+    assert error["message"].startswith("row 7: non-finite cell")
+
+
+def test_estimate_csv_values_are_full_precision(tmp_path):
+    from medgraph.cli import _float_csv, _fmt17
+    rng = np.random.default_rng(5)
+    cols = [rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+            np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0] * 71
+                     + [3.0, 1e16, 0.1])]
+    expected = "a,b\n" + "".join(f"{_fmt17(x)},{_fmt17(y)}\n"
+                                 for x, y in zip(*cols))
+    assert _float_csv("a,b", cols) == expected

@@ -1,9 +1,13 @@
+import csv
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from medgraph import survival
 from medgraph.errors import ConfigurationError, DataError, EstimationError
 from medgraph.survival import (CoxFit, EffectCurves, SimulationConfig,
                                StepFunction, SurvivalDataset, bootstrap,
@@ -483,3 +487,299 @@ def test_simulation_marginal_rates():
     km1 = kaplan_meier(ds.group(1))
     assert km0(1.0) == pytest.approx(np.exp(-0.5), abs=0.02)
     assert km1(1.0) == pytest.approx(np.exp(-1.0), abs=0.02)
+
+
+@pytest.mark.parametrize("fields", [{"n_subjects": -1}, {"mediator_sd": -1.0},
+                                    {"mediator_sd": float("nan")},
+                                    {"treated_fraction": 1.5},
+                                    {"treated_fraction": -0.1}])
+def test_simulation_config_ranges(fields):
+    with pytest.raises(ConfigurationError):
+        SimulationConfig(**{"n_subjects": 10, "rho": 0.1, "gamma": 0.0,
+                            **fields})
+
+
+# -- column-wise ingest, loop-free checks and running-sum summaries -----------------------
+
+
+def _random_counting_data(rng, n_subjects):
+    """Subjects with 1-7 rows on the visit grid 0, 0.5, 1, ..., given to
+    ``build`` in shuffled row order, with per-subject case weights 1-3."""
+    lengths = rng.integers(1, 8, n_subjects)
+    lengths[:3] = 1
+    ids = np.array([f"p{i}" for i in range(n_subjects)], dtype=object)
+    subject = np.repeat(ids, lengths)
+    start = 0.5 * np.concatenate([np.arange(k) for k in lengths])
+    stop = start + 0.5
+    last = np.append(subject[1:] != subject[:-1], True)
+    stop[last] -= rng.uniform(0.0, 0.4, last.sum())
+    event = (last & (rng.random(len(start)) < 0.6)).astype(int)
+    treatment = np.repeat(rng.integers(0, 2, n_subjects), lengths)
+    weights = np.repeat(rng.integers(1, 4, n_subjects), lengths)
+    m = rng.normal(3.0, 10.0, len(start))
+    order = rng.permutation(len(start))
+    ds = SurvivalDataset.build(subject[order], start[order], stop[order],
+                               event[order], treatment[order],
+                               m[order][:, None], ("m",))
+    # build keeps subjects in first-appearance order and sorts their rows
+    weight_of = dict(zip(subject, weights))
+    return replace(ds, weights=np.array([weight_of[s] for s in ds.subject]))
+
+
+def _reference_summary(dataset, mediator_col, scheme, decay=None, split=None):
+    """The derived columns by the direct per-subject, per-row loop."""
+    raw = dataset.column(mediator_col)
+    n = len(dataset)
+    derived = np.zeros((n, 2 if scheme == "two_part" else 1))
+    bounds = np.append(np.flatnonzero(dataset._first_rows()), n)
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        vals = raw[i:j]
+        starts = dataset.start[i:j]
+        for k in range(j - i):
+            hist = vals[:k + 1]
+            if scheme == "last":
+                derived[i + k, 0] = hist[-1]
+            elif scheme == "mean_all":
+                derived[i + k, 0] = hist.mean()
+            elif scheme == "weighted":
+                w = decay ** np.arange(len(hist))[::-1]
+                derived[i + k, 0] = float(np.dot(w, hist) / w.sum())
+            else:
+                early = hist[starts[:k + 1] < split]
+                late = hist[starts[:k + 1] >= split]
+                e = early.mean() if early.size else late.mean()
+                l = late.mean() if late.size else e
+                derived[i + k] = (e, l)
+    return derived
+
+
+@pytest.mark.parametrize("scheme,kwargs", [
+    ("last", {}), ("mean_all", {}),
+    ("weighted", {"decay": 1.0}), ("weighted", {"decay": 0.5}),
+    ("weighted", {"decay": 0.013}),
+    ("two_part", {"split": 1.0}), ("two_part", {"split": 1.25}),
+    ("two_part", {"split": 0.0}), ("two_part", {"split": 9.0})])
+def test_mediator_summary_matches_per_subject_loop(scheme, kwargs):
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        ds = _random_counting_data(rng, 300)
+        out = mediator_summary(ds, "m", scheme, **kwargs)
+        reference = _reference_summary(ds, "m", scheme, **kwargs)
+        derived = out.covariates[:, 1:]
+        assert derived.shape == reference.shape
+        assert _rel_diff(derived, reference) <= 1e-12
+        assert np.array_equal(out.covariates[:, 0], ds.covariates[:, 0])
+        assert np.array_equal(out.weights, ds.weights)
+        assert np.array_equal(out.subject, ds.subject)
+
+
+def _reference_build_error(ds):
+    """The first fault the row-by-row validation loop finds, or None."""
+    s = ds.subject
+    for i in range(1, len(ds)):
+        if s[i] != s[i - 1]:
+            continue
+        if ds.start[i] < ds.stop[i - 1]:
+            return f"overlapping intervals for subject {s[i]!r}"
+        if ds.event[i - 1] == 1:
+            return f"event interval is not last for subject {s[i]!r}"
+        if ds.treatment[i] != ds.treatment[i - 1]:
+            return f"treatment changes within subject {s[i]!r}"
+    return None
+
+
+def test_build_reports_the_first_offending_subject():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        ds = _random_counting_data(rng, 40)
+        start, event = ds.start.copy(), ds.event.copy()
+        treatment = ds.treatment.copy()
+        inner = np.flatnonzero(ds.subject[1:] == ds.subject[:-1]) + 1
+        for i in rng.choice(inner, size=min(3, len(inner)), replace=False):
+            fault = rng.integers(3)
+            if fault == 0:
+                start[i] -= 0.25
+            elif fault == 1:
+                event[i - 1] = 1
+            else:
+                treatment[i] = 1 - treatment[i]
+        faulty = replace(ds, start=start, event=event, treatment=treatment)
+        expected = _reference_build_error(faulty)
+        # rows shuffled within subjects, so build sorts them back to ds order
+        order = np.lexsort((rng.random(len(ds)), np.cumsum(ds._first_rows())))
+        args = (ds.subject[order], start[order], ds.stop[order],
+                event[order], treatment[order], ds.covariates[order], ("m",))
+        if expected is None:
+            assert _same_dataset(SurvivalDataset.build(*args),
+                                 replace(faulty, weights=None))
+        else:
+            with pytest.raises(DataError) as err:
+                SurvivalDataset.build(*args)
+            assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("column,value", [("start", np.nan),
+                                          ("stop", np.inf),
+                                          ("covariates", np.nan),
+                                          ("covariates", -np.inf)])
+def test_build_rejects_non_finite_cells(column, value):
+    cols = {"start": np.array([0.0, 1.0, 0.0]),
+            "stop": np.array([1.0, 2.0, 3.0]),
+            "covariates": np.array([[1.0], [2.0], [3.0]])}
+    cols[column][1] = value
+    with pytest.raises(DataError) as err:
+        SurvivalDataset.build(["a", "a", "b"], cols["start"], cols["stop"],
+                              [0, 1, 0], [0, 0, 1], cols["covariates"], ("m",))
+    assert "non-finite" in str(err.value) and "'a'" in str(err.value)
+
+
+def _reference_ingest(path, columns):
+    """Load a CSV through ``csv.DictReader`` one row at a time, then check
+    that every float cell is finite."""
+    required = ("id", "start", "stop", "event", "treatment")
+    cov_cols = list(columns.get("covariates", []))
+    floats = [columns["start"], columns["stop"]] + cov_cols
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        absent = [c for c in [columns[k] for k in required] + cov_cols
+                  if c not in reader.fieldnames]
+        if absent:
+            raise DataError(f"missing columns: {absent}")
+        for rownum, rec in enumerate(reader, start=1):
+            try:
+                rows.append((
+                    rec[columns["id"]],
+                    float(rec[columns["start"]]),
+                    float(rec[columns["stop"]]),
+                    int(rec[columns["event"]]),
+                    int(rec[columns["treatment"]]),
+                    [float(rec[c]) for c in cov_cols],
+                ))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"row {rownum}: non-numeric cell ({exc})") from exc
+            for name in floats:
+                if not math.isfinite(float(rec[name])):
+                    raise DataError(f"row {rownum}: non-finite cell "
+                                    f"{rec[name]!r} in column {name!r}")
+    subject, start, stop, event, treatment, covs = zip(*rows)
+    return SurvivalDataset.build(subject, start, stop, event, treatment,
+                                 np.array(covs, dtype=float).reshape(len(rows), -1),
+                                 tuple(cov_cols))
+
+
+def _same_dataset(a, b):
+    arrays = ("subject", "start", "stop", "event", "treatment", "covariates",
+              "weights")
+    return a.covariate_names == b.covariate_names and all(
+        np.array_equal(getattr(a, k), getattr(b, k)) for k in arrays)
+
+
+# a reordered header with an extra column and a repeated name (the last
+# "arm" column counts), quoted fields (one id holds a comma), blank lines,
+# cells padded with whitespace and an underscore-grouped number
+TRICKY_CSV = (
+    "arm,note,tstop,biomarker,id,death,tstart,arm\n"
+    '?,"x, y",1.5,70,s1,0,0,1\n'
+    "\n"
+    '?,,3,"1_000","s1",1, 1.5,1\n'
+    '?,z,2, 55.25 ,"s,2",0,0,0\n'
+    "\n\n\n"
+    "?,,4,80,s3, 1 ,0,0\n"
+    '?,"",5.5,-1e3,"s,2",0,2, 0\n'
+    "?,q,0.75,1e-3,s4,0,0,1\n"
+)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1 << 13])
+def test_ingest_csv_matches_dictreader_reference(chunk_rows, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(survival, "CSV_CHUNK_ROWS", chunk_rows)
+    p = tmp_path / "d.csv"
+    p.write_text(TRICKY_CSV)
+    got, want = ingest_csv(p, COLUMNS), _reference_ingest(p, COLUMNS)
+    assert _same_dataset(got, want)
+    assert list(got.subject) == ["s1", "s1", "s,2", "s,2", "s3", "s4"]
+    assert list(got.column("biomarker")) == [70.0, 1000.0, 55.25, -1000.0,
+                                             80.0, 0.001]
+
+
+BAD_ROWS = {
+    "short row": ["s9,0,1"],
+    "int column holds a float": ["s9,0,1,1.0,0,5"],
+    "empty cell": ["s9,0,,0,0,5"],
+    "non-finite start": ["s9,nan,1,0,0,5"],
+    "overflowing float": ["s9,0,1,0,0,1e999"],
+    # the earlier row is reported although its bad cell is in a later
+    # column, in the same chunk or in an earlier one
+    "row-major order": ["s9,0,1,0,0,oops", "s8,0,1,0,0,7",
+                        "s7,0,1,0,0,7", "s6,bad,1,0,0,7"],
+    "row-major order, finite check": ["s9,0,1,0,0,inf", "s8,0,x,0,0,7"],
+    "bad cell after blank lines": ["", "s9,0,1,0,0,4", "", "", "s8,0,1,z,0,1"],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4, 1 << 13])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_ingest_csv_errors_match_dictreader_reference(case, chunk_rows,
+                                                      tmp_path, monkeypatch):
+    monkeypatch.setattr(survival, "CSV_CHUNK_ROWS", chunk_rows)
+    p = tmp_path / "d.csv"
+    _write_csv(p, ["s1,0,1.5,0,1,70", "s1,1.5,3,1,1,55"] + BAD_ROWS[case]
+               + ["s2,0,2,0,0,80"])
+    with pytest.raises(DataError) as want:
+        _reference_ingest(p, COLUMNS)
+    with pytest.raises(DataError) as got:
+        ingest_csv(p, COLUMNS)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("row ")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("tstart,tstop,death,arm,biomarker,id\n0,1,0,1,70,s1\n0,1,0,0,70\n",
+     "row 2: no cell in column 'id'"),
+    ("id,tstart,tstop,death,arm,biomarker\ns1,0,1,0,1,70\n"
+     "s2,0,1,99999999999999999999,0,70\n",
+     "row 2: non-numeric cell (Python int too large to convert to C long)"),
+])
+def test_ingest_csv_rejects_rows_the_row_loop_let_through(text, message,
+                                                          tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(DataError) as err:
+        ingest_csv(p, COLUMNS)
+    assert str(err.value) == message
+
+
+def _held_bytes(ds):
+    """Bytes the dataset keeps: its arrays plus the id strings its object
+    array points to."""
+    arrays = (ds.subject, ds.start, ds.stop, ds.event, ds.treatment,
+              ds.covariates, ds.weights)
+    ids = {id(s): sys.getsizeof(s) for s in ds.subject}
+    return sum(a.nbytes for a in arrays) + sum(ids.values())
+
+
+@pytest.mark.parametrize("rows_per_subject", [1, 4])
+def test_ingest_csv_peak_memory_is_bounded(rows_per_subject, tmp_path):
+    rng = np.random.default_rng(rows_per_subject)
+    n = 50_000
+    subject = np.arange(n) // rows_per_subject
+    pos = np.arange(n) % rows_per_subject
+    stop = pos + rng.uniform(0.1, 1.0, n)
+    event = (pos == rows_per_subject - 1) & (rng.random(n) < 0.5)
+    lines = [f"s{s},{float(k)!r},{b!r},{int(e)},{s % 2},{x!r}\n"
+             for s, k, b, e, x in zip(subject.tolist(), pos.tolist(),
+                                      stop.tolist(), event.tolist(),
+                                      rng.normal(size=n).tolist())]
+    p = tmp_path / "big.csv"
+    p.write_text("id,tstart,tstop,death,arm,biomarker\n" + "".join(lines))
+    del lines
+    tracemalloc.start()
+    try:
+        ds = ingest_csv(p, COLUMNS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == n
+    assert peak <= 2 * _held_bytes(ds)
