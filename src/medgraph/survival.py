@@ -11,9 +11,18 @@ the oracle for estimator tests.
 
 Every row carries a case weight (``SurvivalDataset.weights``, default 1):
 a subject of weight w counts as w identical subjects in every estimator and
-count.  A bootstrap replicate is the original rows with multinomial case
-weights, so a statistic given to :func:`bootstrap` must honour the weights;
-every estimator here does.  All estimators share one risk-set kernel.
+count.  All estimators share one risk-set kernel, which maps a dataset's
+rows onto its event times once; the mapping is cached on the dataset, so
+the fit, the baseline and Kaplan-Meier of one group share it.
+
+A bootstrap replicate is a weight view (:class:`_Replicate`): the parent's
+rows with multinomial case weights, zero for subjects not drawn.  The
+estimators read it by cutting the parent's cached kernel down to the drawn
+rows and to the grid times where the replicate has an event, which is the
+kernel its copy would build, so a view and its copy give the same results.
+Nothing else is copied or mapped per replicate.  Any other attribute a
+statistic reads is served by the copy that :func:`resample_subjects`
+returns, made on first use.
 """
 
 from __future__ import annotations
@@ -87,6 +96,9 @@ class SurvivalDataset:
     covariates: np.ndarray
     covariate_names: tuple[str, ...]
     weights: np.ndarray | None = None
+    # per-dataset results computed once: the first-row mask and the
+    # estimators' risk-set kernel (see _risk_sets)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.weights is None:
@@ -167,9 +179,14 @@ class SurvivalDataset:
         return len(self.subject)
 
     def _first_rows(self):
-        """Mask of each subject's first row (rows are grouped by subject)."""
-        first = np.ones(len(self), dtype=bool)
-        first[1:] = self.subject[1:] != self.subject[:-1]
+        """Mask of each subject's first row (rows are grouped by subject),
+        computed once per dataset."""
+        first = self._cache.get("first_rows")
+        if first is None:
+            first = np.ones(len(self), dtype=bool)
+            first[1:] = self.subject[1:] != self.subject[:-1]
+            first.flags.writeable = False
+            self._cache["first_rows"] = first
         return first
 
     @property
@@ -388,7 +405,7 @@ def _decayed_sums(dataset: SurvivalDataset, values, decay):
 
 
 class _RiskSets:
-    """Interval rows mapped once onto a sorted time grid.
+    """Interval rows mapped onto a sorted time grid.
 
     Row i is at risk at grid time u_k (start_i < u_k <= stop_i) when
     lo_i <= k < hi_i, so the at-risk sum of x at u_k is
@@ -396,9 +413,22 @@ class _RiskSets:
     partial sums are at-risk totals, so float64 keeps ~1e-14 relative.
     """
 
-    def __init__(self, grid, start, stop):
-        self.grid = grid
-        self.lo, self.hi = np.searchsorted(grid, (start, stop), side="right")
+    def __init__(self, grid, lo, hi):
+        self.grid, self.lo, self.hi = grid, lo, hi
+
+    @classmethod
+    def map(cls, grid, start, stop):
+        return cls(grid, *np.searchsorted(grid, (start, stop), side="right"))
+
+    def cut(self, rows, times):
+        """The kernel of the rows with indices ``rows`` on the grid times
+        selected by the mask ``times``.  A bin index becomes the number of
+        kept times below it, which is the index :meth:`map` would give on
+        the kept grid, so the cut kernel equals the one :meth:`map` builds
+        for those rows and times."""
+        below = np.concatenate(([0], np.cumsum(times)))
+        return _RiskSets(self.grid[times], below.take(self.lo.take(rows)),
+                         below.take(self.hi.take(rows)))
 
     def at_risk(self, x):
         """Sum of the row vector ``x`` over the rows at risk at each grid
@@ -413,42 +443,70 @@ class _RiskSets:
         return np.bincount(self.hi, x, len(self.grid) + 1)[1:]
 
 
-def _risk_sets(dataset: SurvivalDataset):
-    """The kernel of ``dataset`` on its event times and the case-weighted
-    event count at each of them."""
-    grid = np.unique(dataset.stop[dataset.event == 1])
-    rs = _RiskSets(grid, dataset.start, dataset.stop)
-    return rs, rs.at_stop(dataset.weights * dataset.event)
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """What the estimators read of a dataset: its rows' covariates, events,
+    treatment and case weights, the kernel on its event times, and the
+    case-weighted event count ``d`` at each of them (positive at every
+    grid time)."""
+
+    covariates: np.ndarray
+    event: np.ndarray
+    treatment: np.ndarray
+    weights: np.ndarray
+    risk: _RiskSets
+    d: np.ndarray
+
+
+def _risk_sets(dataset) -> _Rows:
+    """The rows and kernel the estimators read.  For a dataset they are
+    built once and cached on it; for a bootstrap replicate they are the
+    parent's, cut down to the drawn rows and the replicate's event times."""
+    if isinstance(dataset, _Replicate):
+        return dataset._cut(_risk_sets(dataset._parent))
+    rows = dataset._cache.get("rows")
+    if rows is None:
+        grid = np.unique(dataset.stop[dataset.event == 1])
+        rs = _RiskSets.map(grid, dataset.start, dataset.stop)
+        rows = dataset._cache["rows"] = _Rows(
+            dataset.covariates, dataset.event, dataset.treatment,
+            dataset.weights, rs, rs.at_stop(dataset.weights * dataset.event))
+    return rows
 
 
 def _risk_prefix(grid, start, stop, weights):
     """Sum of ``weights`` over rows at risk at each grid time."""
-    return _RiskSets(grid, start, stop).at_risk(weights)
+    return _RiskSets.map(grid, start, stop).at_risk(weights)
 
 
 # -- nonparametric estimators ----------------------------------------------------
 
 
-def _breslow(dataset: SurvivalDataset, risk) -> StepFunction:
-    """Cumulative hazard with jumps d / sum(Y w risk) at the event times:
-    the Breslow baseline for risk = exp(gamma z), Nelson-Aalen for 1."""
-    rs, d = _risk_sets(dataset)
-    s0 = rs.at_risk(dataset.weights * risk)
-    if np.any(s0[d > 0] <= 0):
+def _breslow(dataset: SurvivalDataset, coef=None) -> StepFunction:
+    """Cumulative hazard with jumps d / sum(Y w exp(coef z)) at the event
+    times: the Breslow baseline, or Nelson-Aalen without ``coef``."""
+    r = _risk_sets(dataset)
+    risk = 1.0 if coef is None else np.exp(r.covariates @ coef)
+    s0 = r.risk.at_risk(r.weights * risk)
+    if np.any(s0 <= 0):
         raise DataError("empty risk set at an event time")
-    return StepFunction(rs.grid, np.cumsum(d / s0), 0.0)
+    values = np.cumsum(r.d / s0)
+    if not np.all(np.isfinite(values)):
+        raise EstimationError("non-finite cumulative hazard (a diverged "
+                              "Cox fit?)")
+    return StepFunction(r.risk.grid, values, 0.0)
 
 
 def nelson_aalen(dataset: SurvivalDataset) -> StepFunction:
     """Cumulative-hazard estimator: jumps d/Y at event times."""
-    return _breslow(dataset, 1.0)
+    return _breslow(dataset)
 
 
 def kaplan_meier(dataset: SurvivalDataset) -> StepFunction:
     """Product-limit survival estimator; starts at 1."""
-    rs, d = _risk_sets(dataset)
-    y = rs.at_risk(dataset.weights)
-    return StepFunction(rs.grid, np.cumprod(1.0 - d / y), 1.0)
+    r = _risk_sets(dataset)
+    y = r.risk.at_risk(r.weights)
+    return StepFunction(r.risk.grid, np.cumprod(1.0 - r.d / y), 1.0)
 
 
 # -- Cox model with time-dependent covariates -------------------------------------
@@ -464,13 +522,13 @@ class CoxFit:
     converged: bool = True
 
 
-def _cox_stats(dataset, rs, d, gamma):
-    z = dataset.covariates
+def _cox_stats(r: _Rows, gamma):
+    z, rs, d = r.covariates, r.risk, r.d
     cols = range(z.shape[1])
-    z_events_sum = (dataset.weights * dataset.event) @ z
-    w = dataset.weights * np.exp(z @ gamma)
+    z_events_sum = (r.weights * r.event) @ z
+    w = r.weights * np.exp(z @ gamma)
     s0 = rs.at_risk(w)
-    if np.any(s0[d > 0] <= 0):
+    if np.any(s0 <= 0):
         raise DataError("empty risk set at an event time")
     s1 = np.column_stack([rs.at_risk(w * z[:, j]) for j in cols])
     s2 = np.stack([np.column_stack([rs.at_risk(w * (z[:, j] * z[:, k]))
@@ -487,7 +545,7 @@ def log_partial_likelihood(dataset: SurvivalDataset, gamma) -> float:
     """Breslow-ties log partial likelihood at ``gamma`` (used for
     finite-difference checks of the analytic score)."""
     gamma = np.asarray(gamma, dtype=float)
-    return _cox_stats(dataset, *_risk_sets(dataset), gamma)[0]
+    return _cox_stats(_risk_sets(dataset), gamma)[0]
 
 
 def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
@@ -495,9 +553,9 @@ def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
     """Damped-Newton fit of the time-dependent-covariate Cox model."""
     if dataset.n_events == 0:
         raise EstimationError("no events: the partial likelihood is empty")
-    rs, d = _risk_sets(dataset)
-    gamma = np.zeros(dataset.covariates.shape[1])
-    loglik, grad, info = _cox_stats(dataset, rs, d, gamma)
+    r = _risk_sets(dataset)
+    gamma = np.zeros(r.covariates.shape[1])
+    loglik, grad, info = _cox_stats(r, gamma)
     for it in range(1, max_iter + 1):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol:
@@ -514,7 +572,7 @@ def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
         slack = 1e-12 * (1.0 + abs(loglik))
         while True:
             cand = gamma + t * step
-            cand_ll, cand_grad, cand_info = _cox_stats(dataset, rs, d, cand)
+            cand_ll, cand_grad, cand_info = _cox_stats(r, cand)
             if cand_ll >= loglik - slack:
                 gamma, loglik, grad, info = cand, cand_ll, cand_grad, cand_info
                 break
@@ -531,7 +589,7 @@ def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
 def breslow_baseline(fit: CoxFit, dataset: SurvivalDataset) -> StepFunction:
     """Cumulative baseline hazard: jumps d / sum(Y exp(gamma z)) at event
     times of the supplied (treatment a=0) data."""
-    return _breslow(dataset, np.exp(dataset.covariates @ fit.coef))
+    return _breslow(dataset, fit.coef)
 
 
 # -- treatment hazard estimator ----------------------------------------------------
@@ -547,16 +605,17 @@ def estimate_rho(dataset: SurvivalDataset, fit: CoxFit) -> StepFunction:
     a warning when a needed risk set is empty, and warns if the final value
     is negative (labeling mismatch or noise).
     """
-    if not np.any(dataset.treatment == 1):
+    r = _risk_sets(dataset)
+    if not np.any(r.treatment == 1):
         raise EstimationError("group a=1 is empty")
-    if not np.any(dataset.treatment == 0):
+    if not np.any(r.treatment == 0):
         raise EstimationError("group a=0 is empty")
     # one kernel serves both groups: a group's sums weight the other's rows 0
-    rs, _ = _risk_sets(dataset)
-    w1 = dataset.weights * (dataset.treatment == 1)
-    w0 = dataset.weights * (dataset.treatment == 0)
-    risk = np.exp(dataset.covariates @ fit.coef)
-    d1, d0 = rs.at_stop(w1 * dataset.event), rs.at_stop(w0 * dataset.event)
+    rs = r.risk
+    w1 = r.weights * (r.treatment == 1)
+    w0 = r.weights * (r.treatment == 0)
+    risk = np.exp(r.covariates @ fit.coef)
+    d1, d0 = rs.at_stop(w1 * r.event), rs.at_stop(w0 * r.event)
     y1, e1, e0 = rs.at_risk(w1), rs.at_risk(w1 * risk), rs.at_risk(w0 * risk)
 
     # every grid time is an event time; the increment there needs group 1
@@ -574,6 +633,9 @@ def estimate_rho(dataset: SurvivalDataset, fit: CoxFit) -> StepFunction:
         inc -= np.where(d0[:cut] > 0,
                         d0[:cut] * e1[:cut] / (y1[:cut] * e0[:cut]), 0.0)
     values = np.cumsum(inc)
+    if not np.all(np.isfinite(values)):
+        raise EstimationError("non-finite cumulative treatment hazard (a "
+                              "diverged Cox fit?)")
     if values[-1] < 0:
         warnings.warn("cumulative treatment hazard is negative at the last "
                       "event time; check the group labeling (a=0 should be "
@@ -595,6 +657,13 @@ class EffectCurves:
     bands: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a diverged fit gives SDE = inf and total = 0, whose product NaN
+        # would pass the identity check below
+        curves = {"SDE": self.sde, "SIE": self.sie, "total": self.total}
+        bad = [name for name, c in curves.items() if not np.all(np.isfinite(c))]
+        if bad:
+            raise EstimationError(f"non-finite {', '.join(bad)} on the output "
+                                  "grid (a diverged Cox fit?)")
         if np.any(np.abs(self.sde * self.sie - self.total) > 1e-10):
             raise EstimationError("SDE * SIE != total on the output grid")
 
@@ -614,7 +683,8 @@ def effect_curves(rho_hat: StepFunction, km_a: StepFunction,
         s_ref = s_ref[:int(zero[0])]
         if grid.size == 0:
             raise EstimationError("reference survival is zero from the start")
-    sde = np.exp((a_star - a) * rho_hat(grid))
+    with np.errstate(over="ignore"):  # EffectCurves rejects an inf SDE
+        sde = np.exp((a_star - a) * rho_hat(grid))
     total = km_a(grid) / s_ref
     sie = total / sde
     return EffectCurves(grid, sde, sie, total)
@@ -631,54 +701,130 @@ class BootstrapBands:
     n_boot: int
     n_dropped: int
     replicates: np.ndarray | None = None
+    drops: dict = field(default_factory=dict)  # exception class name -> count
+
+
+class _Replicate:
+    """A subject resample of ``parent`` as a weight view: the parent's rows
+    with case weights ``weights``, zero on the rows of subjects not drawn.
+
+    The estimators read it through :func:`_risk_sets`, and ``group`` and
+    ``n_events`` read the weights; none of them copies a row.  Any other
+    attribute is read from the copy :func:`resample_subjects` returns, made
+    on first use, so an opaque statistic sees what it saw on the copy.
+    ``arms`` holds the parent's treatment arms, split off once and shared by
+    the replicates of one bootstrap.
+    """
+
+    def __init__(self, parent: SurvivalDataset, weights, arms):
+        self._parent, self._weights, self._arms = parent, weights, arms
+        self._copy = None
+
+    @property
+    def n_events(self):
+        return (self._weights * self._parent.event).sum().item()
+
+    def group(self, a) -> "_Replicate":
+        if a not in self._arms:
+            mask = self._parent.treatment == a
+            self._arms[a] = self._parent.restrict(mask), np.flatnonzero(mask)
+        arm, rows = self._arms[a]
+        weights = self._weights.take(rows)
+        if not weights.any():
+            raise DataError("restriction selects no rows")
+        return _Replicate(arm, weights, {})
+
+    def _cut(self, rows: _Rows) -> _Rows:
+        """The parent's rows and kernel cut down to the drawn rows and to
+        the grid times where the replicate has an event."""
+        w = self._weights
+        d = rows.risk.at_stop(w * rows.event)
+        drawn, times = np.flatnonzero(w), d > 0
+        return _Rows(rows.covariates.take(drawn, axis=0),
+                     rows.event.take(drawn), rows.treatment.take(drawn),
+                     w.take(drawn), rows.risk.cut(drawn, times), d[times])
+
+    def _materialize(self) -> SurvivalDataset:
+        if self._copy is None:
+            drawn = self._weights > 0
+            self._copy = replace(self._parent.restrict(drawn),
+                                 weights=self._weights[drawn])
+        return self._copy
+
+    def __len__(self):
+        return len(self._materialize())
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self._materialize(), name)
+
+
+def _draw(dataset: SurvivalDataset, index, rng):
+    """Case weights of one subject resample: each row's weight times the
+    number of times its subject is drawn; ``index`` maps rows to subjects."""
+    n = int(index[-1]) + 1
+    picks = rng.integers(0, n, size=n)
+    return dataset.weights * np.bincount(picks, minlength=n).take(index)
+
+
+def _subject_index(dataset: SurvivalDataset):
+    return np.cumsum(dataset._first_rows()) - 1
 
 
 def resample_subjects(dataset: SurvivalDataset, rng) -> SurvivalDataset:
     """Draw subjects with replacement.  A subject drawn k times keeps its
     rows with k times its case weight; subjects never drawn are dropped."""
-    index = np.cumsum(dataset._first_rows()) - 1
-    n = int(index[-1]) + 1
-    picks = rng.integers(0, n, size=n)
-    w = np.bincount(picks, minlength=n)[index]
-    drawn = dataset.restrict(w > 0)
-    return replace(drawn, weights=drawn.weights * w[w > 0])
+    weights = _draw(dataset, _subject_index(dataset), rng)
+    return _Replicate(dataset, weights, {})._materialize()
 
 
 def bootstrap(dataset: SurvivalDataset, statistic, n_boot, seed, grid=None,
               keep_replicates=False) -> BootstrapBands:
     """Pointwise 2.5/97.5 percentile bands for ``statistic`` (a callable
-    dataset -> StepFunction) under subject resampling.  A replicate holds
-    the drawn subjects' rows with case weights (see
-    :func:`resample_subjects`), so ``statistic`` must honour them.
+    dataset -> StepFunction) under subject resampling.
+
+    A replicate is a weight view of ``dataset`` (see :class:`_Replicate`)
+    that gives every estimator here the result it gives on the copy
+    :func:`resample_subjects` draws from the same stream, and serves any
+    other attribute from that copy.  It is not a ``SurvivalDataset``, so a
+    statistic must read it through attributes, not ``isinstance`` or
+    ``dataclasses.replace``.
 
     Each replicate uses an independent stream derived from (seed, replicate)
     so results do not depend on execution order.  Failing replicates are
-    dropped; more than 20% drops is an error.
+    dropped and counted by exception class in ``drops``; more than 20% drops
+    is an error.
     """
     if n_boot < 2:
         raise ConfigurationError("need at least 2 bootstrap replicates")
     if grid is None:
         grid = np.unique(dataset.stop[dataset.event == 1])
     grid = np.asarray(grid, dtype=float)
-    rows = []
-    dropped = 0
+    index, arms = _subject_index(dataset), {}
+    rows, drops, first = [], {}, {}
     for rep in range(n_boot):
         rng = np.random.default_rng([int(seed), rep])
+        replicate = _Replicate(dataset, _draw(dataset, index, rng), arms)
         try:
-            fn = statistic(resample_subjects(dataset, rng))
-            rows.append(fn(grid))
-        except (EstimationError, DataError):
-            dropped += 1
+            rows.append(statistic(replicate)(grid))
+        except (EstimationError, DataError) as exc:
+            reason = type(exc).__name__
+            drops[reason] = drops.get(reason, 0) + 1
+            first.setdefault(reason, str(exc))
+    dropped = sum(drops.values())
     if dropped > 0.2 * n_boot:
+        reasons = "; ".join(f"{k} x{v}, first: {first[k]}"
+                            for k, v in drops.items())
         raise EstimationError(
-            f"{dropped}/{n_boot} bootstrap replicates failed")
+            f"{dropped}/{n_boot} bootstrap replicates failed ({reasons})")
     sample = np.vstack(rows)
     return BootstrapBands(
         grid,
         np.percentile(sample, 2.5, axis=0),
         np.percentile(sample, 97.5, axis=0),
         n_boot, dropped,
-        sample if keep_replicates else None)
+        sample if keep_replicates else None, drops)
 
 
 # -- simulation oracle ------------------------------------------------------------------
@@ -780,6 +926,7 @@ def estimate_effects(dataset: SurvivalDataset, a=1, a_star=0) -> EstimationResul
     fit = fit_cox_td(ref)
     baseline = breslow_baseline(fit, ref)
     rho_hat = estimate_rho(dataset, fit)
-    km = {g: kaplan_meier(dataset.group(g)) for g in (0, 1)}
+    km = {g: kaplan_meier(ref if g == a_star else dataset.group(g))
+          for g in (0, 1)}
     curves = effect_curves(rho_hat, km[a], km[a_star], a, a_star)
     return EstimationResult(fit, baseline, rho_hat, curves, km)

@@ -378,6 +378,23 @@ def test_estimate_rejects_non_finite_cell_with_its_row(survival_csv, tmp_path,
     assert error["message"].startswith("row 7: non-finite cell")
 
 
+def test_estimate_rejects_non_finite_effect_curves(tmp_path, capsys):
+    # group 0 is separated: the Cox fit drives gamma to about -162 with the
+    # gradient under tolerance, R(1.5) is about -1e7 and SDE overflows
+    path = tmp_path / "separated.csv"
+    path.write_text("id,start,stop,event,treatment,m\n"
+                    "a,0,1,1,1,0.5\nb,0,2,0,1,0.1\n"
+                    "c,0,1.5,1,0,0.2\nd,0,2,0,0,0.3\n")
+    out_dir = tmp_path / "res"
+    with pytest.warns(UserWarning, match="negative"):
+        code = main(["estimate", "--data", str(path), "--out", str(out_dir)])
+    assert code == 1
+    error = _single_error(capsys)
+    assert error["code"] == "EstimationError"
+    assert error["message"].startswith("non-finite SDE")
+    assert not out_dir.exists()
+
+
 def test_estimate_csv_values_are_full_precision(tmp_path):
     from medgraph.cli import _float_csv, _fmt17
     rng = np.random.default_rng(5)

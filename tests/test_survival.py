@@ -2,6 +2,7 @@ import csv
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -465,6 +466,149 @@ def test_case_weights_count_subjects_and_events():
 def test_case_weights_are_validated(weights):
     with pytest.raises(DataError):
         replace(_simple_ds(), weights=np.array(weights, dtype=float))
+
+
+# -- bootstrap replicates as weight views --------------------------------------------------
+
+
+def _cli_statistic(d):
+    return estimate_rho(d, fit_cox_td(d.group(0)))
+
+
+def _copied_bootstrap(dataset, statistic, n_boot, seed, grid):
+    """Reference loop: ``statistic`` on the copies ``resample_subjects``
+    draws from the streams ``bootstrap`` uses; failures counted by class."""
+    values, drops = [], {}
+    for rep in range(n_boot):
+        copy = resample_subjects(dataset, np.random.default_rng([seed, rep]))
+        try:
+            values.append(statistic(copy)(grid))
+        except (EstimationError, DataError) as exc:
+            drops[type(exc).__name__] = drops.get(type(exc).__name__, 0) + 1
+    return np.array(values), drops
+
+
+def test_view_replicates_match_copied_replicates():
+    ds = _acceptance5_data()
+    grid = np.unique(ds.stop[ds.event == 1])
+    bands = bootstrap(ds, _cli_statistic, n_boot=200, seed=4, grid=grid,
+                      keep_replicates=True)
+    values, drops = _copied_bootstrap(ds, _cli_statistic, 200, 4, grid)
+    assert bands.n_dropped == 0 and bands.drops == drops == {}
+    assert _rel_diff(bands.replicates, values) <= 1e-12
+
+
+def _late_entry_ds(seed, n):
+    """Every other subject with more than one row enters at its first
+    visit, so a risk set can empty and fill again."""
+    ds = _sim_ds(seed=seed, n=n)
+    first = ds._first_rows()
+    index = np.cumsum(first) - 1
+    late = first & (np.bincount(index)[index] > 1) & (index % 2 == 1)
+    return ds.restrict(~late)
+
+
+@pytest.mark.parametrize("make, seed, reasons", [
+    # 14 subjects: some replicates have no group-0 event, an empty risk set
+    # or a fit that leaves the step-halving floor, and R(t) truncates early
+    (lambda: _sim_ds(seed=1, n=14), 1, {"DataError", "EstimationError"}),
+    # the treated risk set of some replicates empties at a time where they
+    # have no event and fills again before their next one
+    (lambda: _late_entry_ds(seed=2, n=40), 2, set())],
+    ids=["drops", "late-entry"])
+def test_small_view_replicates_match_copied_replicates(make, seed, reasons):
+    ds = make()
+    grid = np.unique(ds.stop[ds.event == 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bands = bootstrap(ds, _cli_statistic, n_boot=60, seed=seed,
+                          grid=grid, keep_replicates=True)
+        values, drops = _copied_bootstrap(ds, _cli_statistic, 60, seed, grid)
+    assert set(drops) == reasons
+    assert bands.drops == drops
+    assert bands.n_dropped == sum(drops.values())
+    assert _rel_diff(bands.replicates, values) <= 1e-12
+
+
+def test_rho_after_a_diverged_fit_is_an_estimation_error():
+    # group 0 of this replicate is separated: the fit stops near gamma =
+    # 1257 with the gradient under tolerance, and exp(gamma z) overflows;
+    # a bootstrap used to end in a ConfigurationError here
+    copy = resample_subjects(_sim_ds(seed=1, n=20),
+                             np.random.default_rng([1, 54]))
+    fit = fit_cox_td(copy.group(0))
+    assert fit.coef[0] > 700
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(EstimationError, match="non-finite"):
+        estimate_rho(copy, fit)
+
+
+def _replicates(dataset, n_boot, seed):
+    """The replicates ``bootstrap`` hands to its statistic."""
+    seen = []
+    bootstrap(dataset, lambda d: seen.append(d) or kaplan_meier(d),
+              n_boot=n_boot, seed=seed)
+    return seen
+
+
+def test_estimators_on_a_view_jump_where_its_copy_jumps():
+    ds = _sim_ds(seed=6, n=40)
+    fit = fit_cox_td(ds.group(0))
+    for rep, view in enumerate(_replicates(ds, 10, 6)):
+        copy = resample_subjects(ds, np.random.default_rng([6, rep]))
+        pairs = [(kaplan_meier(view), kaplan_meier(copy)),
+                 (nelson_aalen(view), nelson_aalen(copy)),
+                 (breslow_baseline(fit, view.group(0)),
+                  breslow_baseline(fit, copy.group(0)))]
+        for on_view, on_copy in pairs:
+            assert np.array_equal(on_view.times, on_copy.times)
+            assert _rel_diff(on_view.values, on_copy.values) <= 1e-12
+
+
+def test_opaque_statistic_reads_the_copy():
+    ds = _sim_ds(seed=7, n=30)
+    for rep, view in enumerate(_replicates(ds, 5, 7)):
+        copy = resample_subjects(ds, np.random.default_rng([7, rep]))
+        assert len(view) == len(copy) < len(ds)
+        assert np.array_equal(view.subject, copy.subject)
+        assert np.array_equal(view.weights, copy.weights)
+        assert view.summary() == copy.summary()
+        assert view.n_subjects == copy.n_subjects == ds.n_subjects
+        assert view.n_events == copy.n_events
+        assert np.array_equal(view.group(1).subject, copy.group(1).subject)
+
+
+def test_bootstrap_maps_rows_once(monkeypatch):
+    ds = _sim_ds(seed=8, n=300)
+    calls = []
+    map_rows = survival._RiskSets.map.__func__
+
+    def counted(cls, grid, start, stop):
+        calls.append(len(start))
+        return map_rows(cls, grid, start, stop)
+
+    monkeypatch.setattr(survival._RiskSets, "map", classmethod(counted))
+    estimate_effects(ds)
+    # the reference group (fit, baseline, Kaplan-Meier), the pooled rows
+    # and the other group
+    assert len(calls) == 3
+    bootstrap(ds, _cli_statistic, n_boot=20, seed=8)
+    # one more: the parent's group 0, shared by all 20 replicates
+    assert len(calls) == 4
+    assert ds._first_rows() is ds._first_rows()
+
+
+def test_bootstrap_failure_names_its_reasons():
+    ds = _sim_ds(seed=13, n=50)
+
+    def failing(d):
+        if d.n_events % 2:
+            raise DataError("odd")
+        raise EstimationError("even")
+
+    with pytest.raises(EstimationError,
+                       match=r"10/10 .*(DataError|EstimationError) x\d+"):
+        bootstrap(ds, failing, n_boot=10, seed=0)
 
 
 # -- simulation oracle ---------------------------------------------------------------------
