@@ -39,9 +39,17 @@ def parse_seeds(text):
 
 
 def commit_of(root):
-    proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    """The checkout's HEAD commit, with ``-dirty`` appended when it has
+    uncommitted edits (what ran is then not that commit), or None outside
+    a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", root, *args],
+                              capture_output=True, text=True)
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def run_once(root, workload, seed, seconds, trace):

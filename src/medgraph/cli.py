@@ -12,8 +12,10 @@ are byte-for-byte deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, MedgraphError
-from .graphs import format_unrolled_lig, parse_lig
+from .graphs import _split_lagged, format_unrolled_lig, parse_lig
 from .mediation import MediationGraph, check_assumptions
 from .separation import (d_connecting_path, delta_connecting_path,
                          format_path, granger_noncausal_graphical)
@@ -150,17 +152,11 @@ def cmd_sep(args):
         path = res.witness
         out["separated"] = res.status == "holds"
     else:
-        from .scm import _split_lagged
-        dag = unroll(spec.graph, args.lags)
-        path = d_connecting_path(dag, {_split_lagged(t) for t in a},
-                                 {_split_lagged(t) for t in b},
-                                 {_split_lagged(t) for t in c})
+        a, b, c = ({_split_lagged(t) for t in s} for s in (a, b, c))
+        path = d_connecting_path(unroll(spec.graph, args.lags), a, b, c)
         out["separated"] = path is None
     if path is not None:
-        out["witness_path"] = format_path(
-            [f"{p[0]}@{p[1]}" if isinstance(p, tuple) else p for p in
-             [path[0]] ] + [(op, f"{n[0]}@{n[1]}" if isinstance(n, tuple) else n)
-                            for op, n in path[1:]])
+        out["witness_path"] = format_path(path)
     sys.stdout.write(dumps(out))
     return EXIT_OK
 
@@ -481,22 +477,32 @@ def build_parser():
     return p
 
 
+def _error(code, exc, status):
+    sys.stderr.write(dumps({"error": {"code": code, "message": str(exc)}}))
+    return status
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # What the subcommand writes to stderr (warnings, say) is held back: a
+    # failed run's stderr is its one JSON error, any other run shows it.
+    held = io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stderr(held):
+            status = args.fn(args)
     except (FileNotFoundError, UsageError) as exc:
-        sys.stderr.write(dumps({"error": {"code": "usage",
-                                          "message": str(exc)}}))
-        return EXIT_USAGE
+        return _error("usage", exc, EXIT_USAGE)
     except MedgraphError as exc:
-        sys.stderr.write(dumps({"error": {"code": type(exc).__name__,
-                                          "message": str(exc)}}))
-        return EXIT_DOMAIN
+        return _error(type(exc).__name__, exc, EXIT_DOMAIN)
+    except BaseException:
+        sys.stderr.write(held.getvalue())
+        raise
+    sys.stderr.write(held.getvalue())
+    return status
 
 
 if __name__ == "__main__":

@@ -11,10 +11,12 @@ Graphs are immutable after construction; all queries are pure functions.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import GraphError, ParseError, UnknownNodeError
+from .errors import GraphError, ParseError, QueryError, UnknownNodeError
 
 log = logging.getLogger(__name__)
 
@@ -22,6 +24,37 @@ PROCESS = "process"
 BASELINE = "baseline"
 
 Edge = tuple[str, str]
+
+
+def _adjacency(edges):
+    """(children, parents) of ``edges``: node -> set of direct successors
+    and node -> set of direct predecessors."""
+    children: dict = {}
+    parents: dict = {}
+    for a, b in edges:
+        children.setdefault(a, set()).add(b)
+        parents.setdefault(b, set()).add(a)
+    return children, parents
+
+
+def topological_order(nodes, edges, key=None):
+    """Kahn's sort of ``nodes`` under ``edges``.  Among the nodes ready at a
+    step, the least by ``key`` comes first.  Nodes on a cycle, or
+    downstream of one, are left out."""
+    key = key or (lambda n: n)
+    children, parents = _adjacency(edges)
+    indeg = {n: len(parents.get(n, ())) for n in nodes}
+    ready = [(key(n), n) for n in nodes if not indeg[n]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, n = heapq.heappop(ready)
+        order.append(n)
+        for c in children.get(n, ()):
+            indeg[c] -= 1
+            if not indeg[c]:
+                heapq.heappush(ready, (key(c), c))
+    return order
 
 
 def _closure(targets, parent_map):
@@ -96,11 +129,10 @@ class TailedDirectedGraph:
     def sorted_nodes(self):
         return sorted(self.nodes)
 
-    def _parent_map(self, edges):
-        parents: dict[str, set[str]] = {}
-        for a, b in edges:
-            parents.setdefault(b, set()).add(a)
-        return parents
+    @cached_property
+    def adjacency(self):
+        """(children, parents) over all edges, built once per graph."""
+        return _adjacency(self.all_edges)
 
     def _check_known(self, names):
         unknown = set(names) - self.nodes
@@ -113,23 +145,20 @@ class TailedDirectedGraph:
         """an(target) over all edges; ``include_target`` gives an+(target)."""
         target = set(target)
         self._check_known(target)
-        anc = _closure(target, self._parent_map(self.all_edges))
+        anc = _closure(target, self.adjacency[1])
         return anc | target if include_target else anc
 
     def descendants(self, source):
         source = set(source)
         self._check_known(source)
-        children = {}
-        for a, b in self.all_edges:
-            children.setdefault(a, set()).add(b)
-        return _closure(source, children)
+        return _closure(source, self.adjacency[0])
 
     def tailed_ancestors(self, target):
         """Nodes with a directed path of tailed edges into ``target``;
         by convention the result never contains target nodes themselves."""
         target = set(target)
         self._check_known(target)
-        return _closure(target, self._parent_map(self.tailed)) - target
+        return _closure(target, _adjacency(self.tailed)[1]) - target
 
     def tailed_ancestors_process(self, target):
         """Tailed ancestors restricted to process nodes."""
@@ -158,60 +187,26 @@ class TailedDirectedGraph:
 
     def tailed_subgraph_is_acyclic(self) -> bool:
         """True if the tailed edges alone form an acyclic graph."""
-        return _is_acyclic(self.nodes, self.tailed)
-
-
-def _is_acyclic(nodes, edges):
-    indeg = {n: 0 for n in nodes}
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in edges:
-        indeg[b] += 1
-        children[a].append(b)
-    queue = [n for n in nodes if indeg[n] == 0]
-    seen = 0
-    while queue:
-        n = queue.pop()
-        seen += 1
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return seen == len(nodes)
+        return len(topological_order(self.nodes, self.tailed)) == len(self.nodes)
 
 
 def find_tailed_cycle(graph: TailedDirectedGraph):
-    """Return one cycle (list of node names) in the tailed subgraph, or None."""
-    children: dict[str, list[str]] = {}
-    for a, b in sorted(graph.tailed):
-        children.setdefault(a, []).append(b)
-    color = {}
-    parent = {}
+    """Return one cycle in the tailed subgraph as a closed list of node
+    names (first == last), or None.
 
-    def dfs(n):
-        color[n] = 1
-        for c in children.get(n, ()):
-            if color.get(c, 0) == 1:
-                cycle = [c, n]
-                cur = n
-                while cur != c:
-                    cur = parent[cur]
-                    cycle.append(cur)
-                cycle.reverse()
-                return cycle
-            if color.get(c, 0) == 0:
-                parent[c] = n
-                found = dfs(c)
-                if found:
-                    return found
-        color[n] = 2
+    Every node Kahn's sort leaves out has a parent it also left out, so
+    stepping to such parents from any of them must repeat a node."""
+    leftover = graph.nodes - set(topological_order(graph.nodes, graph.tailed))
+    if not leftover:
         return None
-
-    for n in graph.sorted_nodes():
-        if color.get(n, 0) == 0:
-            found = dfs(n)
-            if found:
-                return found
-    return None
+    parents = _adjacency(graph.tailed)[1]
+    node = min(leftover)
+    walked = []
+    while node not in walked:
+        walked.append(node)
+        node = min(parents[node] & leftover)
+    cycle = walked[walked.index(node):] + [node]
+    return cycle[::-1]
 
 
 LaggedNode = tuple[str, int]
@@ -245,7 +240,7 @@ class UnrolledDag:
                 raise GraphError(f"edge goes backwards in time: {src} -> {dst}")
             if src == dst:
                 raise GraphError(f"self-loop {src}")
-        if not _is_acyclic(nodes, obj.edges):
+        if len(topological_order(nodes, obj.edges)) < len(nodes):
             raise GraphError("unrolled graph contains a directed cycle")
         return obj
 
@@ -257,6 +252,11 @@ class UnrolledDag:
     def sorted_nodes(self):
         return sorted(self.node_set(), key=lambda nd: (nd[1], nd[0]))
 
+    @cached_property
+    def adjacency(self):
+        """(children, parents) over the lagged edges, built once per DAG."""
+        return _adjacency(self.edges)
+
     def _check_known(self, names):
         unknown = set(names) - self.node_set()
         if unknown:
@@ -265,10 +265,7 @@ class UnrolledDag:
     def ancestors(self, target, include_target=False):
         target = set(map(_as_node, target))
         self._check_known(target)
-        parents: dict[LaggedNode, set[LaggedNode]] = {}
-        for a, b in self.edges:
-            parents.setdefault(b, set()).add(a)
-        anc = _closure(target, parents)
+        anc = _closure(target, self.adjacency[1])
         return anc | target if include_target else anc
 
     def restrict_lags(self, max_lag) -> "UnrolledDag":
@@ -384,6 +381,17 @@ def format_lig(graph: TailedDirectedGraph, latent=(), roles=None) -> str:
 
 def lagged_name(name: str, lag: int) -> str:
     return f"{name}@{lag}"
+
+
+def _split_lagged(name: str) -> tuple[str, int]:
+    """Inverse of :func:`lagged_name`: ``'name@lag'`` -> ``(name, lag)``."""
+    base, sep, lag = name.rpartition("@")
+    if not sep:
+        raise QueryError(f"variable {name!r} is not of the form 'name@lag'")
+    try:
+        return base, int(lag)
+    except ValueError:
+        raise QueryError(f"variable {name!r} has a non-integer lag") from None
 
 
 def format_unrolled_lig(dag: UnrolledDag) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, QueryError, SizeError,
                      UndefinedConditionalError)
-from .graphs import UnrolledDag, lagged_name
+from .graphs import UnrolledDag, _split_lagged, lagged_name, topological_order
 
 NA = "NA"
 CELL_BUDGET = 1 << 22
@@ -369,16 +369,6 @@ def conditionally_independent(table: JointTable, x, y, z, tol=CI_TOL):
 # -- Granger non-causality on lagged tables ----------------------------------
 
 
-def _split_lagged(name):
-    base, sep, lag = name.rpartition("@")
-    if not sep:
-        raise QueryError(f"variable {name!r} is not of the form 'name@lag'")
-    try:
-        return base, int(lag)
-    except ValueError:
-        raise QueryError(f"variable {name!r} has a non-integer lag") from None
-
-
 def _lag_index(table: JointTable):
     lags: dict[str, set[int]] = {}
     for name in table.names:
@@ -394,24 +384,18 @@ def granger_noncausal_exact(table: JointTable, a, b, c, t_prime,
     ``a`` is independent of the time-t slice of ``b`` given the past of
     ``b`` and ``c``.
 
-    Also evaluated through the relative-to-a-context parameterization with
-    context a+b+c; the two forms must agree (internal consistency check).
+    This is the relative parameterization with context a+b+c, whose
+    conditioning past is exactly that of b and c.
     """
-    if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
+    a, b, c = set(a), set(b), set(c)
+    if a & b or a & c or b & c:
         raise QueryError("coordinate sets must be pairwise disjoint")
-    primary = _granger_direct(table, a, b, c, t_prime, tol)
-    alt = granger_noncausal_relative(table, a, b,
-                                     set(a) | set(b) | set(c), t_prime, tol)
-    if primary != alt:
-        raise AssertionError(
-            "the two Granger non-causality parameterizations disagree")
-    return primary
+    return granger_noncausal_relative(table, a, b, a | b | c, t_prime, tol)
 
 
 def _granger_queries(lags, a, b, past, t_prime):
     """Query triples (x, y, z) for t = 1..t_prime: past of ``a`` vs the
-    time-t slice of ``b`` given the past of ``past`` (which normally
-    contains ``b`` itself)."""
+    time-t slice of ``b`` given the past of ``b`` and ``past``."""
     a, b = set(a), set(b)
     unknown = (a | b | past) - set(lags)
     if unknown:
@@ -428,15 +412,6 @@ def _granger_queries(lags, a, b, past, t_prime):
         z = [lagged_name(p, s) for p in sorted(b | past)
              for s in sorted(lags[p]) if s <= t - 1]
         yield x, y, z
-
-
-def _granger_direct(table, a, b, c, t_prime, tol):
-    lags = _lag_index(table)
-    for x, y, z in _granger_queries(lags, a, b, set(b) | set(c), t_prime):
-        holds, _ = conditionally_independent(table, x, y, z, tol)
-        if not holds:
-            return False
-    return True
 
 
 def granger_noncausal_relative(table: JointTable, a, b, context, t_prime,
@@ -641,38 +616,16 @@ def random_observational_scm(k_max, seed, violation=None) -> DiscreteScm:
     return to_observational(random_separated_scm(k_max, seed, violation))
 
 
-def _topological_order(dag: UnrolledDag):
-    nodes = sorted(dag.node_set(), key=lambda nd: (nd[1], nd[0]))
-    indeg = {n: 0 for n in nodes}
-    children: dict = {n: [] for n in nodes}
-    for src, dst in sorted(dag.edges):
-        indeg[dst] += 1
-        children[src].append(dst)
-    ready = sorted((n for n in nodes if indeg[n] == 0),
-                   key=lambda nd: (nd[1], nd[0]), reverse=True)
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for ch in children[n]:
-            indeg[ch] -= 1
-            if indeg[ch] == 0:
-                ready.append(ch)
-        ready.sort(key=lambda nd: (nd[1], nd[0]), reverse=True)
-    return order
-
-
 def random_scm_from_dag(dag: UnrolledDag, seed, n_states=2) -> DiscreteScm:
     """Random model Markov to the lagged DAG: variables are 'name@lag', each
     with a random CPT over its DAG parents (min cell probability applied)."""
     rng = _as_rng(seed)
-    parents_of: dict = {}
-    for src, dst in dag.edges:
-        parents_of.setdefault(dst, []).append(src)
+    parents_of = dag.adjacency[1]
     states = tuple(range(n_states))
     variables = []
-    for node in _topological_order(dag):
-        parents = sorted(parents_of.get(node, []), key=lambda nd: (nd[1], nd[0]))
+    for node in topological_order(dag.node_set(), dag.edges,
+                                  key=lambda nd: (nd[1], nd[0])):
+        parents = sorted(parents_of.get(node, ()), key=lambda nd: (nd[1], nd[0]))
         shape = tuple(n_states for _ in parents) + (n_states,)
         raw = rng.uniform(size=shape)
         raw /= raw.sum(axis=-1, keepdims=True)

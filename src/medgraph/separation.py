@@ -1,10 +1,13 @@
 """Graphical separation criteria.
 
-d-separation on variable-level DAGs, delta-separation on rolled graphs
-(computed in the auxiliary graph with directed edges out of the target set
-removed), and a sufficient criterion for Granger non-causality in graphs with
-contemporaneous effects.  Each fast test has an exhaustive path-enumeration
-oracle used for cross-validation on small graphs.
+d-separation on variable-level DAGs, delta-separation on rolled graphs, and a
+sufficient criterion for Granger non-causality in graphs with contemporaneous
+effects.  delta-separation is d-separation in the auxiliary graph with the
+directed edges out of the target set removed; no auxiliary graph is built:
+the walk on the given graph skips each step from a node back to a parent in
+the target set, which is exactly a step along a removed edge.  Both walks
+read the graph's cached adjacency.  Each fast test has an exhaustive
+path-enumeration oracle used for cross-validation on small graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import QueryError, SizeError
-from .graphs import TailedDirectedGraph, UnrolledDag
+from .graphs import TailedDirectedGraph, UnrolledDag, lagged_name
 
 ORACLE_NODE_BUDGET = 12
 
@@ -31,66 +34,50 @@ def _check_query(all_nodes, a, b, c):
     return a, b, c
 
 
-def _adjacency(edges):
-    out: dict = {}
-    inc: dict = {}
-    for s, t in edges:
-        out.setdefault(s, []).append(t)
-        inc.setdefault(t, []).append(s)
-    return out, inc
-
-
-def _walk_connected(edges, a, b, given, anc_plus):
+def _walk_connected(graph, a, b, given, anc_plus, cut=frozenset()):
     """Reachability test for a d-connecting walk from ``a`` to ``b`` given
-    ``given``, where collider openings are decided by membership in
-    ``anc_plus`` (an+(given), possibly computed in a larger graph).
+    ``given`` in ``graph``, where collider openings are decided by
+    membership in ``anc_plus`` (an+(given), possibly computed in a larger
+    graph).  The walk never steps from a node back to a parent in ``cut``:
+    for ``cut = b`` that is the graph with the edges out of ``b`` removed.
 
     State is (node, arrived_by_head): arrived_by_head is True when the walk
-    entered the node through an arrowhead.
+    entered the node through an arrowhead.  A source is entered as if by a
+    tail, so every edge at it may be taken.
     """
-    out, inc = _adjacency(edges)
-    stack = []
-    seen = set()
-
-    def push(node, by_head):
-        if (node, by_head) not in seen:
-            seen.add((node, by_head))
-            stack.append((node, by_head))
-
-    for src in a:
-        for nxt in out.get(src, ()):
-            push(nxt, True)
-        for nxt in inc.get(src, ()):
-            push(nxt, False)
-
+    children, parents = graph.adjacency
+    seen = {(src, False) for src in a}
+    stack = list(seen)
     while stack:
         node, by_head = stack.pop()
         if node in b:
             return True
-        if by_head:
-            if node not in given:
-                for nxt in out.get(node, ()):
-                    push(nxt, True)
-            if node in anc_plus:
-                for nxt in inc.get(node, ()):
-                    push(nxt, False)
-        else:
-            if node not in given:
-                for nxt in out.get(node, ()):
-                    push(nxt, True)
-                for nxt in inc.get(node, ()):
-                    push(nxt, False)
+        passes = node not in given
+        # a step up to a parent: a collider if entered by a head, else a
+        # chain or fork
+        up = node in anc_plus if by_head else passes
+        nexts = [(n, True) for n in children.get(node, ())] if passes else []
+        if up:
+            nexts += [(n, False) for n in parents.get(node, ()) if n not in cut]
+        for state in nexts:
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
     return False
 
 
-def _search_from(src, out, inc, b, given, anc_plus):
-    """DFS over simple paths from ``src``; prunes blocked prefixes."""
+def _first_path(graph, a, b, given, anc_plus, cut=frozenset()):
+    """The first connecting simple path from the sorted sources, by
+    exhaustive depth-first enumeration that prunes blocked prefixes, or
+    None.  ``cut`` is as in :func:`_walk_connected`."""
+    children, parents = graph.adjacency
 
     def rec(node, by_head, on_path, path):
         if node in b:
             return path
-        nexts = [("->", n, True) for n in sorted(out.get(node, ()))]
-        nexts += [("<-", n, False) for n in sorted(inc.get(node, ()))]
+        nexts = [("->", n, True) for n in sorted(children.get(node, ()))]
+        nexts += [("<-", n, False) for n in sorted(parents.get(node, ()))
+                  if n not in cut]
         for op, nxt, nxt_by_head in nexts:
             if nxt in on_path:
                 continue
@@ -104,34 +91,24 @@ def _search_from(src, out, inc, b, given, anc_plus):
                 return found
         return None
 
-    for op, nxt, by_head in [("->", n, True) for n in sorted(out.get(src, ()))] + \
-                            [("<-", n, False) for n in sorted(inc.get(src, ()))]:
-        if nxt in b:
-            return [src, (op, nxt)]
-        found = rec(nxt, by_head, {src, nxt}, [src, (op, nxt)])
-        if found:
-            return found
-    return None
-
-
-def _first_path(edges, a, b, given, anc_plus):
-    """The first connecting simple path from the sorted sources, by
-    exhaustive depth-first enumeration, or None."""
-    out, inc = _adjacency(edges)
     for src in sorted(a):
-        found = _search_from(src, out, inc, b, given, anc_plus)
+        found = rec(src, False, {src}, [src])
         if found:
             return found
     return None
+
+
+def _node_text(node):
+    return lagged_name(*node) if isinstance(node, tuple) else str(node)
 
 
 def format_path(path):
+    """``path`` as text; a lagged node ``(name, lag)`` reads ``name@lag``."""
     if path is None:
         return None
-    parts = [str(path[0])]
+    parts = [_node_text(path[0])]
     for op, node in path[1:]:
-        parts.append(op)
-        parts.append(str(node))
+        parts += [op, _node_text(node)]
     return " ".join(parts)
 
 
@@ -142,14 +119,14 @@ def d_separated(dag: UnrolledDag, a, b, c) -> bool:
     """True iff ``a`` and ``b`` are d-separated given ``c`` in the DAG."""
     a, b, c = _check_query(dag.node_set(), a, b, c)
     anc_plus = dag.ancestors(c, include_target=True)
-    return not _walk_connected(dag.edges, a, b, c, anc_plus)
+    return not _walk_connected(dag, a, b, c, anc_plus)
 
 
 def d_separated_oracle(dag: UnrolledDag, a, b, c) -> bool:
     """Exhaustive simple-path version of :func:`d_separated`."""
     a, b, c = _check_query(dag.node_set(), a, b, c)
     anc_plus = dag.ancestors(c, include_target=True)
-    return _first_path(dag.edges, a, b, c, anc_plus) is None
+    return _first_path(dag, a, b, c, anc_plus) is None
 
 
 def d_connecting_path(dag: UnrolledDag, a, b, c):
@@ -157,9 +134,9 @@ def d_connecting_path(dag: UnrolledDag, a, b, c):
     answers separated queries; only connected ones enumerate paths."""
     a, b, c = _check_query(dag.node_set(), a, b, c)
     anc_plus = dag.ancestors(c, include_target=True)
-    if not _walk_connected(dag.edges, a, b, c, anc_plus):
+    if not _walk_connected(dag, a, b, c, anc_plus):
         return None
-    return _first_path(dag.edges, a, b, c, anc_plus)
+    return _first_path(dag, a, b, c, anc_plus)
 
 
 # -- delta-separation on rolled graphs -------------------------------------
@@ -170,12 +147,10 @@ def _delta_setup(graph: TailedDirectedGraph, a, b, c):
     bad = b & graph.baseline
     if bad:
         raise QueryError(f"delta-separation target must be process nodes, got baseline {sorted(bad)}")
-    stripped = graph.strip_tails()
-    aux = stripped.remove_edges_out_of(b)
     # ancestors of the conditioning set are taken in the full graph, not in
-    # the edge-deleted auxiliary graph
-    anc_plus = stripped.ancestors(c, include_target=True)
-    return a, b, c, aux, anc_plus
+    # the auxiliary graph without the edges out of b
+    anc_plus = graph.ancestors(c, include_target=True)
+    return a, b, c, anc_plus
 
 
 def delta_separated(graph: TailedDirectedGraph, a, b, c) -> bool:
@@ -184,25 +159,25 @@ def delta_separated(graph: TailedDirectedGraph, a, b, c) -> bool:
     Note the asymmetry: edges out of the target set ``b`` are deleted before
     testing, so the relation is directional.
     """
-    a, b, c, aux, anc_plus = _delta_setup(graph, a, b, c)
-    return not _walk_connected(aux.all_edges, a, b, c, anc_plus)
+    a, b, c, anc_plus = _delta_setup(graph, a, b, c)
+    return not _walk_connected(graph, a, b, c, anc_plus, cut=b)
 
 
 def delta_separated_oracle(graph: TailedDirectedGraph, a, b, c) -> bool:
     if len(graph.nodes) > ORACLE_NODE_BUDGET:
         raise SizeError(f"path-enumeration oracle limited to {ORACLE_NODE_BUDGET} nodes")
-    a, b, c, aux, anc_plus = _delta_setup(graph, a, b, c)
-    return _first_path(aux.all_edges, a, b, c, anc_plus) is None
+    a, b, c, anc_plus = _delta_setup(graph, a, b, c)
+    return _first_path(graph, a, b, c, anc_plus, cut=b) is None
 
 
 def delta_connecting_path(graph: TailedDirectedGraph, a, b, c):
     """One delta-connecting simple path (in the auxiliary graph), or None.
     The walk test answers separated queries; only connected ones enumerate
     paths."""
-    a, b, c, aux, anc_plus = _delta_setup(graph, a, b, c)
-    if not _walk_connected(aux.all_edges, a, b, c, anc_plus):
+    a, b, c, anc_plus = _delta_setup(graph, a, b, c)
+    if not _walk_connected(graph, a, b, c, anc_plus, cut=b):
         return None
-    return _first_path(aux.all_edges, a, b, c, anc_plus)
+    return _first_path(graph, a, b, c, anc_plus, cut=b)
 
 
 # -- Granger non-causality via contemporaneous-effects criterion ----------
@@ -213,9 +188,6 @@ class GrangerResult:
     status: str                 # HOLDS or INCONCLUSIVE
     reason: str
     witness: list | None = None
-
-    def __bool__(self):  # pragma: no cover - convenience only
-        return self.status == HOLDS
 
 
 def granger_noncausal_graphical(graph: TailedDirectedGraph, a, b, c) -> GrangerResult:

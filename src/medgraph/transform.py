@@ -19,8 +19,8 @@ def unroll(graph: TailedDirectedGraph, lags: int) -> UnrolledDag:
     """
     if lags < 1:
         raise GraphError(f"lags must be >= 1, got {lags}")
-    if not graph.tailed_subgraph_is_acyclic():
-        cycle = find_tailed_cycle(graph)
+    cycle = find_tailed_cycle(graph)
+    if cycle:
         raise GraphError(
             "tailed edges form a cycle; unrolling would create a same-lag "
             f"directed cycle: {' o-> '.join(cycle)}")

@@ -404,3 +404,48 @@ def test_estimate_csv_values_are_full_precision(tmp_path):
     expected = "a,b\n" + "".join(f"{_fmt17(x)},{_fmt17(y)}\n"
                                  for x, y in zip(*cols))
     assert _float_csv("a,b", cols) == expected
+
+
+def test_failed_estimate_stderr_is_one_json_object(tmp_path):
+    # in its own process, so the warning is printed as it would be for a
+    # user and not recorded by the test runner
+    import os
+    import subprocess
+    import sys
+    path = tmp_path / "separated.csv"
+    path.write_text("id,start,stop,event,treatment,m\n"
+                    "a,0,1,1,1,0.5\nb,0,2,0,1,0.1\n"
+                    "c,0,1.5,1,0,0.2\nd,0,2,0,0,0.3\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "medgraph.cli", "estimate", "--data",
+         str(path), "--out", str(tmp_path / "res")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"]["code"] == "EstimationError"
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_subcommand_stderr_is_shown_only_when_it_succeeds(
+        fails, graph_file, monkeypatch, capsys):
+    import sys
+    from medgraph import cli
+    from medgraph.errors import MedgraphError
+
+    def noisy(args):
+        sys.stderr.write("a note on stderr\n")
+        if fails:
+            raise MedgraphError("failed after the note")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_check", noisy)
+    code = main(["check", graph_file])
+    if fails:
+        assert code == 1
+        assert _single_error(capsys)["message"] == "failed after the note"
+    else:
+        assert code == 0
+        assert capsys.readouterr().err == "a note on stderr\n"
