@@ -240,7 +240,9 @@ class UnrolledDag:
                 raise GraphError(f"edge goes backwards in time: {src} -> {dst}")
             if src == dst:
                 raise GraphError(f"self-loop {src}")
-        if len(topological_order(nodes, obj.edges)) < len(nodes):
+        # no edge goes back in time, so every cycle stays within one lag
+        same_lag = [(src, dst) for src, dst in obj.edges if src[1] == dst[1]]
+        if len(topological_order(nodes, same_lag)) < len(nodes):
             raise GraphError("unrolled graph contains a directed cycle")
         return obj
 

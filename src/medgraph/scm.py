@@ -4,15 +4,16 @@ Variables live in a fixed temporal order (treatment, then alternating
 mediator / covariate / survival-indicator blocks); each carries a conditional
 probability table over its parents.  All inference is by exhaustive
 summation on the full joint table, so models must stay small.  The module
-provides do-interventions, the mediational g-formula and g-computation by
-direct summation, and exact conditional-independence testing (Granger
-non-causality on lagged variables, and the three mediation assumptions).
+provides do-interventions, the mediational g-formula and g-computation (one
+conditional table per factor, each marginalized from the joint once, then
+their product summed over the 0/1 mediator and covariate histories), and
+exact conditional-independence testing (Granger non-causality on lagged
+variables, and the three mediation assumptions).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,8 @@ class Variable:
         if cpt.ndim != len(self.parents) + 1:
             raise ConfigurationError(
                 f"{self.name}: CPT has {cpt.ndim} axes for {len(self.parents)} parents")
+        if not np.all(np.isfinite(cpt)):
+            raise ConfigurationError(f"{self.name}: non-finite CPT entries")
         if np.any(cpt < 0):
             raise ConfigurationError(f"{self.name}: negative CPT entries")
         rows = cpt.sum(axis=-1)
@@ -274,59 +277,55 @@ def _check_t_index(scm, t_index):
 # -- mediational g-formula ---------------------------------------------------
 
 
+def _pick(table: JointTable, name, values):
+    """Positions of ``values`` on the axis of ``name``."""
+    return [table._indexer({name: v})[table.axis(name)] for v in values]
+
+
+def _factor(table: JointTable, given, history, target, values, strict):
+    """P(target = values | given, history) over the 0/1 states of each
+    history axis, with the target's ``values`` last.  The conditional is
+    normalized over all target states (NA included).  Entries whose
+    conditioning event has probability zero are 0, or raise in strict mode.
+    """
+    m = table.condition(given).marginal(history + [target])
+    probs = m.probs[np.ix_(*[_pick(m, n, (0, 1)) for n in history],
+                           range(len(m.states[-1])))]
+    denom = probs.sum(axis=-1, keepdims=True)
+    if strict and np.any(denom <= 0.0):
+        raise UndefinedConditionalError(
+            f"conditioning event has probability zero: {given} with a 0/1 "
+            f"history of {history}")
+    cond = np.divide(probs, denom, out=np.zeros_like(probs), where=denom > 0.0)
+    return cond[..., _pick(m, target, values)]
+
+
 def mediational_g_formula(obs_scm: DiscreteScm, a, a_star, t_index,
                           strict=False) -> float:
     """Mixed-regime survival functional computed from the observational
     joint: survival and covariate factors are conditioned on treatment ``a``,
     mediator factors on ``a_star``.
 
-    Histories whose conditioning event has probability zero contribute 0;
-    in strict mode they raise instead.
+    Each of the 3j factors is one array over its 0/1 history on the axis
+    order M0, C0, M1, C1, ...; the formula sums their product over all 0/1
+    histories.  Histories whose conditioning event has probability zero
+    contribute 0; in strict mode they raise instead.
     """
     _check_t_index(obs_scm, t_index)
     table = joint(obs_scm)
-    return g_formula_from_table(table, a, a_star, t_index, strict=strict)
-
-
-def g_formula_from_table(table: JointTable, a, a_star, t_index,
-                         strict=False, treatment=TREATMENT) -> float:
-    j = t_index
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=2 * j):
-        m, c = bits[:j], bits[j:]
-
-        def hist(n_med, n_cov):
-            h = {mediator_name(i): m[i] for i in range(n_med)}
-            h.update({covariate_name(i): c[i] for i in range(n_cov)})
-            return h
-
-        term = 1.0
-        for i in range(1, j + 1):
-            given = {treatment: a, **hist(i, i)}
-            if i >= 2:
-                given[survival_name(i - 1)] = 1
-            p = table.conditional({survival_name(i): 1}, given, strict=strict)
-            if p is None:
-                term = None
-                break
-            term *= p
-        if term is None:
-            continue
-        for i in range(j):
-            given_m = {treatment: a_star, **hist(i, i)}
-            given_c = {treatment: a, **hist(i + 1, i)}
-            if i >= 1:
-                given_m[survival_name(i)] = 1
-                given_c[survival_name(i)] = 1
-            pm = table.conditional({mediator_name(i): m[i]}, given_m, strict=strict)
-            pc = table.conditional({covariate_name(i): c[i]}, given_c, strict=strict)
-            if pm is None or pc is None:
-                term = None
-                break
-            term *= pm * pc
-        if term is not None:
-            total += term
-    return total
+    order = [n for i in range(t_index) for n in (mediator_name(i), covariate_name(i))]
+    # one spare trailing axis takes the last survival factor's target axis
+    rank = 2 * t_index + 1
+    product = np.ones(())
+    for i in range(t_index):
+        alive = {survival_name(i): 1} if i else {}
+        steps = ((a_star, order[2 * i], (0, 1)), (a, order[2 * i + 1], (0, 1)),
+                 (a, survival_name(i + 1), (1,)))
+        for n, (arm, target, values) in enumerate(steps):
+            f = _factor(table, {TREATMENT: arm, **alive}, order[:2 * i + n],
+                        target, values, strict)
+            product = product * f.reshape(f.shape + (1,) * (rank - f.ndim))
+    return float(product.sum())
 
 
 def g_computation(obs_scm: DiscreteScm, a, t_index, strict=False) -> float:
@@ -666,11 +665,11 @@ def scm_from_dict(d: dict) -> DiscreteScm:
             for spec in d["variables"]
         )
         grid = int(d["grid"])
+        sep = d.get("separated")
+        if sep:
+            return SeparatedScm(variables, grid=grid,
+                                treatment_direct=sep["direct"],
+                                treatment_mediated=sep["mediated"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed model specification: {exc}") from exc
-    sep = d.get("separated")
-    if sep:
-        return SeparatedScm(variables, grid=grid,
-                            treatment_direct=sep["direct"],
-                            treatment_mediated=sep["mediated"])
     return DiscreteScm(variables, grid=grid)

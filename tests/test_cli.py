@@ -363,6 +363,35 @@ def test_non_numeric_model_fields_are_domain_errors(fields, tmp_path, capsys):
     assert _single_error(capsys)["code"] == "ConfigurationError"
 
 
+def _lo_hi_mediators(model):
+    for spec in model["variables"]:
+        if spec["name"].startswith("M"):
+            spec["states"] = ["lo", "hi"] + spec["states"][2:]
+
+
+HOSTILE_SCM = {
+    "separated-list": lambda m: m.update(separated=["AD", "AM"]),
+    "separated-no-mediated": lambda m: m.update(separated={"direct": "AD"}),
+    "nan-cpt": lambda m: m["cpt"].update(AD=[float("nan"), 0.5]),
+}
+
+
+@pytest.mark.parametrize("case, query, code", [
+    *[(case, query, "ConfigurationError") for case in HOSTILE_SCM
+      for query in ("gformula", "assumptions", "interventional")],
+    ("lo-hi-states", "gformula", "QueryError"),
+])
+def test_hostile_scm_files_are_domain_errors(case, query, code, tmp_path,
+                                             capsys):
+    model = scm_to_dict(random_separated_scm(2, seed=8))
+    HOSTILE_SCM.get(case, _lo_hi_mediators)(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["simulate", "--scm", str(path), "--query", query,
+                 "--t", "2"]) == 1
+    assert _single_error(capsys)["code"] == code
+
+
 def test_estimate_rejects_non_finite_cell_with_its_row(survival_csv, tmp_path,
                                                        capsys):
     lines = open(survival_csv).read().splitlines()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medgraph import graphs
 from medgraph.errors import GraphError, ParseError, UnknownNodeError
 from medgraph.graphs import (TailedDirectedGraph, UnrolledDag, format_lig,
                              format_unrolled_lig, parse_lig)
@@ -106,6 +107,26 @@ def test_strip_then_remove_commutes_with_queries(seed):
 def test_unrolled_validation_backwards_edge():
     with pytest.raises(GraphError):
         UnrolledDag.build(2, {"X"}, set(), {(("X", 2), ("X", 1))})
+
+
+def test_unrolled_validation_same_lag_cycle():
+    edges = {(("X", 0), ("Y", 1)), (("X", 1), ("Y", 1)), (("Y", 1), ("X", 1))}
+    with pytest.raises(GraphError, match="cycle"):
+        UnrolledDag.build(2, {"X", "Y"}, set(), edges)
+
+
+def test_unrolled_acyclicity_check_sorts_same_lag_edges_only(monkeypatch):
+    seen = []
+    build = graphs._adjacency
+
+    def recorded(edges):
+        seen.append(set(edges))
+        return build(edges)
+
+    monkeypatch.setattr(graphs, "_adjacency", recorded)
+    edges = {(("X", 0), ("Y", 1)), (("X", 1), ("Y", 1)), (("Y", 0), ("Y", 2))}
+    UnrolledDag.build(2, {"X", "Y"}, set(), edges)
+    assert seen == [{(("X", 1), ("Y", 1))}]
 
 
 def test_unrolled_validation_baseline_lag():

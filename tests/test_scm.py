@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,8 @@ from hypothesis import strategies as st
 from medgraph.errors import (ConfigurationError, QueryError, SizeError,
                              UndefinedConditionalError)
 from medgraph.graphs import TailedDirectedGraph
-from medgraph.scm import (NA, DiscreteScm, SeparatedScm, Variable,
+from medgraph.scm import (NA, VIOLATIONS, DiscreteScm, JointTable,
+                          SeparatedScm, Variable,
                           conditionally_independent, g_computation,
                           granger_noncausal_exact, granger_noncausal_relative,
                           intervene, interventional_survival, joint,
@@ -97,6 +101,8 @@ def test_cpt_row_validation():
         Variable("A", (0, 1), (), np.array([0.6, 0.6]))
     with pytest.raises(ConfigurationError):
         Variable("A", (0, 1), (), np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        Variable("A", (0, 1), (), np.array([np.nan, 0.5]))
 
 
 def test_parent_temporal_order_enforced():
@@ -206,6 +212,119 @@ def test_violations_create_g_formula_discrepancy():
         assert abs(est - truth) > 1e-6, violation
         assert g_computation(obs, 1, 2) == pytest.approx(
             interventional_survival(sep, 1, 1, 2), abs=1e-12)
+
+
+def _g_formula_reference(table, a, a_star, j, strict=False):
+    """The mediational g-formula as a loop over all 4^j (m, c) histories,
+    with about 3j conditionals per history, each summed from the whole
+    table."""
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=2 * j):
+        m, c = bits[:j], bits[j:]
+
+        def hist(n_med, n_cov):
+            h = {f"M{i}": m[i] for i in range(n_med)}
+            h.update({f"C{i}": c[i] for i in range(n_cov)})
+            return h
+
+        term = 1.0
+        for i in range(1, j + 1):
+            given = {"A": a, **hist(i, i)}
+            if i >= 2:
+                given[f"S{i - 1}"] = 1
+            p = table.conditional({f"S{i}": 1}, given, strict=strict)
+            if p is None:
+                term = None
+                break
+            term *= p
+        if term is None:
+            continue
+        for i in range(j):
+            given_m = {"A": a_star, **hist(i, i)}
+            given_c = {"A": a, **hist(i + 1, i)}
+            if i >= 1:
+                given_m[f"S{i}"] = 1
+                given_c[f"S{i}"] = 1
+            pm = table.conditional({f"M{i}": m[i]}, given_m, strict=strict)
+            pc = table.conditional({f"C{i}": c[i]}, given_c, strict=strict)
+            if pm is None or pc is None:
+                term = None
+                break
+            term *= pm * pc
+        if term is not None:
+            total += term
+    return total
+
+
+REGIMES = [(a, a_star) for a in (0, 1) for a_star in (0, 1)]
+
+
+@pytest.mark.parametrize("violation", (None,) + VIOLATIONS)
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4])
+def test_g_formula_matches_history_loop(k_max, violation):
+    obs = random_observational_scm(k_max, seed=[k_max, 83], violation=violation)
+    table = joint(obs)
+    for a, a_star in REGIMES:
+        for j in range(1, k_max + 1):
+            assert mediational_g_formula(obs, a, a_star, j) == pytest.approx(
+                _g_formula_reference(table, a, a_star, j), abs=1e-12)
+
+
+def _with_cpt(scm, name, cpt):
+    return dataclasses.replace(scm, variables=tuple(
+        dataclasses.replace(v, cpt=cpt) if v.name == name else v
+        for v in scm.variables))
+
+
+def _zero_strata_models():
+    """Models with zero-probability conditioning events: an unobserved arm,
+    a mediator value never taken at time 1 and a covariate value never
+    taken at time 0."""
+    obs = random_observational_scm(2, seed=84)
+    one_arm = _with_cpt(obs, "A", np.array([0.0, 1.0]))
+    m1 = obs.var("M1").cpt.copy()
+    m1[..., 1] = 0.0
+    m1 /= m1.sum(axis=-1, keepdims=True)
+    c0 = np.zeros_like(obs.var("C0").cpt)
+    c0[..., 0] = 1.0
+    return [one_arm, _with_cpt(obs, "M1", m1), _with_cpt(obs, "C0", c0)]
+
+
+@pytest.mark.parametrize("model", range(3))
+def test_g_formula_strict_mode_raises_where_history_loop_raises(model):
+    obs = _zero_strata_models()[model]
+    table = joint(obs)
+    raised = set()
+    for a, a_star in REGIMES:
+        for j in (1, 2):
+            assert mediational_g_formula(obs, a, a_star, j) == pytest.approx(
+                _g_formula_reference(table, a, a_star, j), abs=1e-12)
+            try:
+                expected = _g_formula_reference(table, a, a_star, j, strict=True)
+            except UndefinedConditionalError:
+                raised.add((a, a_star, j))
+                with pytest.raises(UndefinedConditionalError):
+                    mediational_g_formula(obs, a, a_star, j, strict=True)
+                continue
+            assert mediational_g_formula(obs, a, a_star, j, strict=True) == \
+                pytest.approx(expected, abs=1e-12)
+    assert raised
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_g_formula_builds_each_factor_once(j, monkeypatch):
+    obs = random_observational_scm(3, seed=85)
+    calls = []
+    for method in ("conditional", "marginal"):
+        original = getattr(JointTable, method)
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(JointTable, method, counted)
+    mediational_g_formula(obs, 1, 0, j)
+    assert len(calls) <= 3 * j
 
 
 # -- exact conditional independence ---------------------------------------------
