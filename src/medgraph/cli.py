@@ -259,13 +259,17 @@ def _float_csv(header, columns):
 
 def _event_lines(stream, names):
     """The ``events.csv`` text in chunks of rows, so the whole file is never
-    held as strings at once; times are formatted as ``_fmt17`` does."""
+    held as strings at once; times are formatted as ``_fmt17`` does.  Each
+    chunk is one ``%`` format of its times interleaved with their process
+    names, which are arguments, so a ``%`` in a name is written as is."""
     chunk = 1 << 16
     yield "time,process\n"
     for lo in range(0, len(stream), chunk):
-        yield "".join(f"{t:.17g},{names[p]}\n" for t, p in
-                      zip(stream.times[lo:lo + chunk].tolist(),
-                          stream.procs[lo:lo + chunk].tolist()))
+        times = stream.times[lo:lo + chunk].tolist()
+        cells = [None] * (2 * len(times))
+        cells[::2] = times
+        cells[1::2] = [names[p] for p in stream.procs[lo:lo + chunk].tolist()]
+        yield "%.17g,%s\n" * len(times) % tuple(cells)
 
 
 def cmd_hawkes(args):

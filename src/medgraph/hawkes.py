@@ -8,6 +8,12 @@ vectorized step, exact and empirical integrated covariance, and the
 moment-based identification of the direct (G_DA) and mediated (G_DM * G_MA)
 effects from the observable covariance alone.
 
+The empirical covariance bins the events once and forms every lagged sum
+of products of the uncentered bin counts, sum_t c_t c_{t+l}^T, in one pass
+over blocks of bins that stay in cache while each lag's product is taken.
+The counts are small integers, so these sums are exact; each lag is then
+centred in closed form with the count totals.
+
 Conventions: G[i, j] is the expected number of direct i-events caused by one
 j-event (the integral of the kernel g_ij); kernels are g_ij(t) =
 G_ij * beta_ij * exp(-beta_ij t).
@@ -26,6 +32,7 @@ from .errors import (ConfigurationError, DataError, EstimationError,
 RADIUS_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
 EVENT_BUDGET = 10_000_000
+LAG_BLOCK = 8192                # bins per cached block in _lag_sums
 
 FIG7_NAMES = ("A", "M", "D", "L", "U")
 
@@ -230,6 +237,9 @@ class EventStream:
             raise DataError("event times outside [0, horizon]")
         if np.any(np.diff(self.times) < 0):
             raise DataError("event times not sorted")
+        if self.procs.size and not (0 <= self.procs.min()
+                                    and self.procs.max() < self.n_processes):
+            raise DataError(f"process indices outside 0..{self.n_processes - 1}")
 
     def __len__(self):
         return len(self.times)
@@ -318,6 +328,8 @@ class CovMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DataError("covariance matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise DataError("covariance matrix has non-finite entries")
         if float(np.max(np.abs(m - m.T))) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
             raise DataError("covariance matrix is not symmetric")
         if np.any(np.diag(m) <= 0):
@@ -367,31 +379,69 @@ def _check_theta_structure(model, c_obs, tol=1e-8):
                     f"{theta[i, j]:.3g}")
 
 
+def _check_bin_width(bin_width):
+    if not 0.0 < bin_width < np.inf:
+        raise ConfigurationError("bin_width must be positive and finite")
+
+
 def default_max_lag(model: HawkesModel, bin_width, tail=1e-3):
     """Lag horizon so that every kernel's tail mass beyond it is < tail."""
+    _check_bin_width(bin_width)
     used = model.decay[model.branching > 0]
     beta_min = float(used.min()) if used.size else 1.0
     return int(np.ceil(-np.log(tail) / (beta_min * bin_width)))
 
 
+def _lag_sums(counts, max_lag):
+    """S[l] = counts[:N-l].T @ counts[l:] for l = 0..max_lag, shape
+    (max_lag + 1, n, n).  The bins are walked in blocks of ``LAG_BLOCK``,
+    small enough to stay in cache while every lag's product of the block
+    against the bins l later is formed from it.  On integer counts every
+    partial sum is an integer, so the result is exact in any order while
+    the sums stay below 2**53 (at most EVENT_BUDGET**2 = 1e14 for a
+    simulated stream)."""
+    n_bins, n = counts.shape
+    s = np.zeros((max_lag + 1, n, n))
+    for lo in range(0, n_bins, LAG_BLOCK):
+        block = counts[lo:lo + LAG_BLOCK].T
+        for lag in range(min(max_lag + 1, n_bins - lo)):
+            s[lag] += (block[:, :n_bins - lo - lag]
+                       @ counts[lo + lag:lo + lag + LAG_BLOCK])
+    return s
+
+
 def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
                              max_lag=50) -> CovMatrix:
     """Binned estimator: sample cross-covariances of bin counts summed over
-    lags -max_lag..max_lag, scaled by 1/bin_width."""
-    if bin_width <= 0:
-        raise ConfigurationError("bin_width must be positive")
+    lags -max_lag..max_lag, scaled by 1/bin_width.  The lag-l covariance
+    divides by the N - l bin pairs at that lag.  It is computed from the
+    exact integer lag sums S_l of the uncentered counts, centred in closed
+    form: S_l - a_l mu^T - mu b_l^T + (N - l) mu mu^T, where a_l and b_l
+    are the count totals of the first and the last N - l bins."""
+    _check_bin_width(bin_width)
+    if max_lag < 0:
+        raise ConfigurationError("max_lag must be >= 0")
     n_bins = int(stream.horizon / bin_width)
     if n_bins < 100:
         raise DataError(f"only {n_bins} bins; need at least 100")
+    if max_lag >= n_bins:
+        raise DataError(f"max_lag {max_lag} needs more than the {n_bins} bins")
     n = stream.n_processes
-    counts = np.zeros((n_bins, n))
     idx = np.minimum((stream.times / bin_width).astype(int), n_bins - 1)
-    np.add.at(counts, (idx, stream.procs), 1.0)
-    x = counts - counts.mean(axis=0)
-    c = x.T @ x / n_bins
+    counts = np.bincount(idx * n + stream.procs,
+                         minlength=n_bins * n).reshape(n_bins, n).astype(float)
+    s = _lag_sums(counts, max_lag)
+    total = np.bincount(stream.procs, minlength=n).astype(float)   # column sums
+    mu = total / n_bins
+    zero = np.zeros((1, n))
+    a = total - np.concatenate([zero, np.cumsum(counts[::-1][:max_lag], axis=0)])
+    b = total - np.concatenate([zero, np.cumsum(counts[:max_lag], axis=0)])
+    pairs = (n_bins - np.arange(max_lag + 1))[:, None, None]
+    cl = (s - a[:, :, None] * mu - mu[:, None] * b[:, None, :]
+          + pairs * np.outer(mu, mu)) / pairs
+    c = cl[0].copy()
     for lag in range(1, max_lag + 1):
-        cl = x[:-lag].T @ x[lag:] / (n_bins - lag)
-        c += cl + cl.T
+        c += cl[lag] + cl[lag].T
     c /= bin_width
     return CovMatrix(0.5 * (c + c.T))
 

@@ -363,6 +363,49 @@ def test_non_numeric_model_fields_are_domain_errors(fields, tmp_path, capsys):
     assert _single_error(capsys)["code"] == "ConfigurationError"
 
 
+def _slow_decay(model):
+    model["decay"] = (np.asarray(model["decay"]) * 1e-3).tolist()
+
+
+@pytest.mark.parametrize("edit, bin_width, code", [
+    (_slow_decay, "0.2", "DataError"),
+    (None, "nan", "ConfigurationError"),
+    (None, "0", "ConfigurationError"),
+], ids=["slow-decay", "bin-width-nan", "bin-width-0"])
+def test_empirical_identification_inputs_are_domain_errors(
+        edit, bin_width, code, tmp_path, capsys):
+    model = model_to_dict(random_fig7_model(seed=8))
+    if edit is not None:
+        edit(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out_dir = tmp_path / "out"
+    assert main(["hawkes", "--model", str(path), "--simulate", "200",
+                 "--identify", "--bin-width", bin_width,
+                 "--out", str(out_dir)]) == 1
+    assert _single_error(capsys)["code"] == code
+    assert not (out_dir / "identify.json").exists()
+
+
+def test_hawkes_events_csv_chunks_match_the_per_row_format(tmp_path, capsys):
+    # Over 65 536 events, so the text spans more than one chunk, and names
+    # holding format directives.
+    model = {"mu": [400.0, 300.0], "branching": [[0.0, 0.2], [0.1, 0.0]],
+             "decay": [[1.0, 1.0], [1.0, 1.0]], "names": ["A%s", "%%B"]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out_dir = tmp_path / "hk"
+    assert main(["hawkes", "--model", str(path), "--simulate", "200",
+                 "--out", str(out_dir), "--seed", "6"]) == 0
+    from medgraph.hawkes import model_from_dict, simulate
+    stream = simulate(model_from_dict(model), 200.0, 6)
+    assert len(stream) > 1 << 16
+    expected = "time,process\n" + "".join(
+        f"{format(float(t), '.17g')},{model['names'][p]}\n"
+        for t, p in zip(stream.times, stream.procs))
+    assert (out_dir / "events.csv").read_text() == expected
+
+
 def _lo_hi_mediators(model):
     for spec in model["variables"]:
         if spec["name"].startswith("M"):

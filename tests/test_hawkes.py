@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medgraph import hawkes as hk
 from medgraph.errors import (ConfigurationError, DataError, EstimationError,
                              IdentificationError, SizeError)
-from medgraph.hawkes import (CovMatrix, HawkesModel, decompose_effects,
-                             default_max_lag, expected_cluster_matrix,
-                             fig7_model, identify, integrated_cov_empirical,
-                             integrated_cov_exact, mean_intensities,
-                             model_from_dict, model_to_dict,
+from medgraph.hawkes import (CovMatrix, EventStream, HawkesModel,
+                             decompose_effects, default_max_lag,
+                             expected_cluster_matrix, fig7_model, identify,
+                             integrated_cov_empirical, integrated_cov_exact,
+                             mean_intensities, model_from_dict, model_to_dict,
                              normalize_branching, random_fig7_model, simulate,
                              simulate_clusters, spectral_radius_power,
                              validate)
@@ -232,6 +233,16 @@ def test_cov_matrix_validation():
         CovMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cov_matrix_rejects_non_finite_entries(bad):
+    m = np.eye(2)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(DataError):
+        CovMatrix(m)
+    with pytest.raises(DataError):
+        CovMatrix(np.diag([1.0, bad]))
+
+
 def test_empirical_cov_poisson_diagonal():
     model = HawkesModel(np.array([0.8, 1.5]), np.zeros((2, 2)), np.ones((2, 2)))
     stream = simulate(model, t_end=20_000.0, seed=13)
@@ -246,6 +257,103 @@ def test_empirical_cov_needs_enough_bins():
     stream = simulate(model, t_end=10.0, seed=0)
     with pytest.raises(DataError):
         integrated_cov_empirical(stream, bin_width=0.5)
+
+
+def _integrated_cov_reference(stream, bin_width, max_lag):
+    """The per-lag loop over centred counts that the blocked lag sums
+    replaced."""
+    n_bins = int(stream.horizon / bin_width)
+    n = stream.n_processes
+    counts = np.zeros((n_bins, n))
+    idx = np.minimum((stream.times / bin_width).astype(int), n_bins - 1)
+    np.add.at(counts, (idx, stream.procs), 1.0)
+    x = counts - counts.mean(axis=0)
+    c = x.T @ x / n_bins
+    for lag in range(1, max_lag + 1):
+        cl = x[:-lag].T @ x[lag:] / (n_bins - lag)
+        c += cl + cl.T
+    c /= bin_width
+    return 0.5 * (c + c.T)
+
+
+def _assert_matches_reference(stream, bin_width, max_lag):
+    got = integrated_cov_empirical(stream, bin_width, max_lag).matrix
+    want = _integrated_cov_reference(stream, bin_width, max_lag)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_empirical_cov_matches_per_lag_loop(seed, block, monkeypatch):
+    monkeypatch.setattr(hk, "LAG_BLOCK", block)
+    stream = simulate(random_fig7_model(seed=seed), t_end=2_000.0, seed=seed)
+    # 10 000 bins at width 0.2 and 1 333 at 1.5: neither is a multiple of 7
+    # or of 1024.
+    for bin_width, max_lag in [(0.2, 0), (0.2, 18), (0.2, 60), (1.5, 25)]:
+        _assert_matches_reference(stream, bin_width, max_lag)
+
+
+@pytest.mark.parametrize("block", [7, 1024])
+def test_empirical_cov_matches_per_lag_loop_at_the_edges(block, monkeypatch):
+    monkeypatch.setattr(hk, "LAG_BLOCK", block)
+    one = simulate(HawkesModel(np.array([0.7]), np.zeros((1, 1)),
+                               np.ones((1, 1))), t_end=150.0, seed=3)
+    _assert_matches_reference(one, 1.0, 0)
+    _assert_matches_reference(one, 1.0, 149)      # max_lag = n_bins - 1
+    # A process with no events has a zero variance in both routes, which
+    # CovMatrix refuses.
+    silent = simulate(HawkesModel(np.array([0.9, 0.0, 0.5]),
+                                  np.array([[0.0, 0.0, 0.3],
+                                            [0.0, 0.0, 0.0],
+                                            [0.2, 0.0, 0.0]]),
+                                  np.ones((3, 3))), t_end=300.0, seed=4)
+    assert not np.any(silent.procs == 1)
+    want = _integrated_cov_reference(silent, 0.5, 599)
+    assert np.all(want[1] == 0) and np.all(want[:, 1] == 0)
+    with pytest.raises(DataError):
+        integrated_cov_empirical(silent, 0.5, 599)
+
+
+@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("n_bins, max_lag", [
+    (1, 0), (100, 0), (100, 1), (100, 99), (1031, 40), (3000, 1030)])
+def test_lag_sums_equal_direct_products_exactly(n_bins, max_lag, block,
+                                                monkeypatch):
+    monkeypatch.setattr(hk, "LAG_BLOCK", block)
+    counts = np.random.default_rng(n_bins + max_lag).poisson(
+        3.0, size=(n_bins, 4)).astype(float)
+    counts[:, 2] = 0.0                            # a process with no events
+    want = np.stack([counts[:n_bins - lag].T @ counts[lag:]
+                     for lag in range(max_lag + 1)])
+    assert np.array_equal(hk._lag_sums(counts, max_lag), want)
+
+
+def test_empirical_cov_rejects_a_lag_window_longer_than_the_data():
+    stream = simulate(random_fig7_model(seed=5), t_end=40.0, seed=5)
+    with pytest.raises(DataError):
+        integrated_cov_empirical(stream, bin_width=0.2, max_lag=200)
+    with pytest.raises(DataError):
+        integrated_cov_empirical(stream, bin_width=0.2, max_lag=10_000)
+    with pytest.raises(ConfigurationError):
+        integrated_cov_empirical(stream, bin_width=0.2, max_lag=-1)
+
+
+@pytest.mark.parametrize("bin_width", [np.nan, 0.0, -1.0, np.inf])
+def test_bin_width_must_be_positive_and_finite(bin_width):
+    model = random_fig7_model(seed=5)
+    stream = simulate(model, t_end=40.0, seed=5)
+    with pytest.raises(ConfigurationError):
+        default_max_lag(model, bin_width)
+    with pytest.raises(ConfigurationError):
+        integrated_cov_empirical(stream, bin_width=bin_width, max_lag=3)
+
+
+@pytest.mark.parametrize("proc", [-1, 2])
+def test_event_stream_rejects_process_indices_outside_the_model(proc):
+    # The binning keys each event by bin * n_processes + process, so an
+    # index outside 0..n-1 would land in a neighbouring bin.
+    with pytest.raises(DataError):
+        EventStream(np.array([0.5, 1.0]), np.array([0, proc]), 10.0, 2)
 
 
 def test_default_max_lag_scales_with_decay():
