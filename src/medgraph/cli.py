@@ -110,6 +110,11 @@ def _load_json(path):
     return obj
 
 
+def _load_graph(path):
+    with open(path) as fh:
+        return parse_lig(fh.read())
+
+
 def _write(path, text, force):
     """Write ``text``, a string or an iterable of strings, to ``path``."""
     if os.path.exists(path) and not force:
@@ -125,7 +130,7 @@ def _write(path, text, force):
 
 
 def cmd_check(args):
-    spec = parse_lig(open(args.graph).read())
+    spec = _load_graph(args.graph)
     mg = MediationGraph.from_spec_file(spec, randomized_treatment=not args.no_a0)
     report = check_assumptions(mg)
     out = _envelope(_resolve_seed(args), [args.graph])
@@ -135,7 +140,7 @@ def cmd_check(args):
 
 
 def cmd_sep(args):
-    spec = parse_lig(open(args.graph).read())
+    spec = _load_graph(args.graph)
     a = set(args.source.split(","))
     b = set(args.target.split(","))
     c = set(args.given.split(",")) if args.given else set()
@@ -162,7 +167,7 @@ def cmd_sep(args):
 
 
 def cmd_unroll(args):
-    spec = parse_lig(open(args.graph).read())
+    spec = _load_graph(args.graph)
     text = format_unrolled_lig(unroll(spec.graph, args.lags))
     if args.out:
         _write(args.out, text, args.force)

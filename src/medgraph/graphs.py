@@ -20,9 +20,6 @@ from .errors import GraphError, ParseError, QueryError, UnknownNodeError
 
 log = logging.getLogger(__name__)
 
-PROCESS = "process"
-BASELINE = "baseline"
-
 Edge = tuple[str, str]
 
 

@@ -87,7 +87,7 @@ class HawkesDiagnostics:
     subcritical: bool
 
 
-def spectral_radius_power(g, tol=RADIUS_TOL, max_iter=64):
+def spectral_radius_power(g):
     """Spectral radius by norm growth under repeated matrix squaring
     (||G^m||^(1/m) -> radius as m = 2^k grows).  Unlike plain power
     iteration this handles nilpotent matrices (G^m hits zero exactly) and
@@ -97,12 +97,12 @@ def spectral_radius_power(g, tol=RADIUS_TOL, max_iter=64):
     power = 1
     prev = None
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(64):
         norm = float(np.linalg.norm(m, 2))
         if norm == 0.0:
             return 0.0
         est = float(np.exp((np.log(norm) + log_scale) / power))
-        if prev is not None and abs(est - prev) <= tol:
+        if prev is not None and abs(est - prev) <= RADIUS_TOL:
             return est
         prev = est
         m = (m / norm) @ (m / norm)
@@ -212,9 +212,9 @@ def fig7_model(g_ma, g_da, g_dm, g_ml, g_dl, g_lu, g_du, mu, beta=1.0) -> Hawkes
                        topology="fig7")
 
 
-def random_fig7_model(seed, low=0.1, high=0.45) -> HawkesModel:
+def random_fig7_model(seed) -> HawkesModel:
     rng = np.random.default_rng(seed)
-    w = rng.uniform(low, high, size=7)
+    w = rng.uniform(0.1, 0.45, size=7)
     mu = rng.uniform(0.2, 1.0, size=5)
     beta = rng.uniform(0.8, 2.0)
     return fig7_model(*w, mu=mu, beta=beta)
@@ -361,7 +361,7 @@ def integrated_cov_exact(model: HawkesModel) -> CovMatrix:
                      tuple(model.names[i] for i in obs))
 
 
-def _check_theta_structure(model, c_obs, tol=1e-8):
+def _check_theta_structure(model, c_obs):
     obs = list(model.observed)
     g_oo = model.branching[np.ix_(obs, obs)]
     r_o = np.linalg.solve(np.eye(len(obs)) - g_oo, np.eye(len(obs)))
@@ -372,7 +372,7 @@ def _check_theta_structure(model, c_obs, tol=1e-8):
         for j in range(len(obs)):
             if i == j or {i, j} == {d, l}:
                 continue
-            if abs(theta[i, j]) > tol * scale:
+            if abs(theta[i, j]) > 1e-8 * scale:
                 raise IdentificationError(
                     f"latent quadratic form has unexpected entry "
                     f"({model.names[obs[i]]}, {model.names[obs[j]]}) = "
@@ -389,7 +389,12 @@ def default_max_lag(model: HawkesModel, bin_width, tail=1e-3):
     _check_bin_width(bin_width)
     used = model.decay[model.branching > 0]
     beta_min = float(used.min()) if used.size else 1.0
-    return int(np.ceil(-np.log(tail) / (beta_min * bin_width)))
+    span = -np.log(tail) / beta_min
+    # compared before dividing, which overflows for a tiny bin width
+    if not span <= EVENT_BUDGET * bin_width:
+        raise SizeError(f"bin width {bin_width:.3g} needs more than "
+                        f"{EVENT_BUDGET} lags")
+    return int(np.ceil(span / bin_width))
 
 
 def _lag_sums(counts, max_lag):
@@ -421,12 +426,15 @@ def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
     _check_bin_width(bin_width)
     if max_lag < 0:
         raise ConfigurationError("max_lag must be >= 0")
+    n = stream.n_processes
+    if not stream.horizon * n <= EVENT_BUDGET * bin_width:
+        raise SizeError(f"bin width {bin_width:.3g} needs more than "
+                        f"{EVENT_BUDGET} bin counts")
     n_bins = int(stream.horizon / bin_width)
     if n_bins < 100:
         raise DataError(f"only {n_bins} bins; need at least 100")
     if max_lag >= n_bins:
         raise DataError(f"max_lag {max_lag} needs more than the {n_bins} bins")
-    n = stream.n_processes
     idx = np.minimum((stream.times / bin_width).astype(int), n_bins - 1)
     counts = np.bincount(idx * n + stream.procs,
                          minlength=n_bins * n).reshape(n_bins, n).astype(float)

@@ -94,12 +94,12 @@ def random_query(rng, pool, max_each=2, target_pool=None):
     return a, b, c
 
 
-def random_dag_query(rng, dag: UnrolledDag, max_each=3):
+def random_dag_query(rng, dag: UnrolledDag):
     nodes = sorted(dag.node_set())
     rng.shuffle(nodes)
-    n_a = int(rng.integers(1, max_each + 1))
-    n_b = int(rng.integers(1, max_each + 1))
-    n_c = int(rng.integers(0, max_each + 1))
+    n_a = int(rng.integers(1, 4))
+    n_b = int(rng.integers(1, 4))
+    n_c = int(rng.integers(0, 4))
     a = set(nodes[:n_a])
     b = set(nodes[n_a:n_a + n_b])
     c = set(nodes[n_a + n_b:n_a + n_b + n_c])

@@ -328,10 +328,10 @@ def mediational_g_formula(obs_scm: DiscreteScm, a, a_star, t_index,
     return float(product.sum())
 
 
-def g_computation(obs_scm: DiscreteScm, a, t_index, strict=False) -> float:
+def g_computation(obs_scm: DiscreteScm, a, t_index) -> float:
     """Single-regime g-computation: the mixed-regime formula with both
     treatment arguments equal."""
-    return mediational_g_formula(obs_scm, a, a, t_index, strict=strict)
+    return mediational_g_formula(obs_scm, a, a, t_index)
 
 
 # -- exact conditional independence ------------------------------------------
@@ -443,7 +443,7 @@ class ExactAssumptionReport:
         return self.a1 and self.a2_discrete and self.a3
 
 
-def verify_assumptions_exact(sep_scm: SeparatedScm, tol=CI_TOL) -> ExactAssumptionReport:
+def verify_assumptions_exact(sep_scm: SeparatedScm) -> ExactAssumptionReport:
     """Brute-force conditional-independence tests of the three mediation
     assumptions on the separated joint (both treatment components randomized
     as independent roots).  Latent variables are marginalized, never
@@ -459,16 +459,16 @@ def verify_assumptions_exact(sep_scm: SeparatedScm, tol=CI_TOL) -> ExactAssumpti
         hist += [covariate_name(j) for j in range(i)]
         t = table if i == 0 else table.condition({survival_name(i): 1})
         ok, s = conditionally_independent(
-            t, [mediator_name(i)], [ad], [am] + hist, tol)
+            t, [mediator_name(i)], [ad], [am] + hist)
         a1 &= ok
         skipped += s
         ok, s = conditionally_independent(
-            t, [covariate_name(i)], [am], [ad, mediator_name(i)] + hist, tol)
+            t, [covariate_name(i)], [am], [ad, mediator_name(i)] + hist)
         a3 &= ok
         skipped += s
         ok, s = conditionally_independent(
             t, [survival_name(i + 1)], [am],
-            [ad, mediator_name(i), covariate_name(i)] + hist, tol)
+            [ad, mediator_name(i), covariate_name(i)] + hist)
         a2 &= ok
         skipped += s
     return ExactAssumptionReport(a1, a2, a3, skipped)
@@ -477,35 +477,30 @@ def verify_assumptions_exact(sep_scm: SeparatedScm, tol=CI_TOL) -> ExactAssumpti
 # -- random model generators --------------------------------------------------
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def _random_dist(rng, n):
-    p = rng.uniform(size=n)
-    p /= p.sum()
-    # floor keeps every conditioning stratum non-degenerate
-    return p * (1.0 - n * MIN_CELL_PROB) + MIN_CELL_PROB
-
-
-def _structured_cpt(rng, parent_vars, states, gate=None, absorb=None):
-    """Random CPT respecting the survival bookkeeping: when the gate parent
-    equals 0 the variable is deterministically ``absorb``; otherwise the row
-    is a random distribution over the non-NA states."""
-    shape = tuple(len(p.states) for p in parent_vars) + (len(states),)
+def _random_cpt(rng, shape, live, gate):
+    """Random CPT of ``shape`` (one axis per parent, then the variable's
+    states).  Each row is a random distribution over the state indices
+    ``live``, floored at MIN_CELL_PROB so every conditioning stratum stays
+    non-degenerate.  With ``gate = (axis, absorb)``, the rows whose parent on
+    ``axis`` is in its first state (a survival indicator's 0) are a point
+    mass at state index ``absorb`` and draw nothing.  The other rows are
+    drawn in one call, in C order: the stream of one draw per row."""
+    n = len(live)
+    if gate is None:  # ungated tables have no NA state: every state is live
+        p = rng.uniform(size=shape)
+    else:
+        rows = np.ones(shape[:-1], dtype=bool)
+        rows[(slice(None),) * gate[0] + (0,)] = False
+        p = rng.uniform(size=(np.count_nonzero(rows), n))
+    p /= p.sum(axis=-1, keepdims=True)
+    p = p * (1.0 - n * MIN_CELL_PROB) + MIN_CELL_PROB
+    if gate is None:
+        return p
     cpt = np.zeros(shape)
-    live = [k for k, s in enumerate(states) if s != NA]
-    gate_axis = None
-    if gate is not None:
-        gate_axis = [p.name for p in parent_vars].index(gate)
-        absorb_idx = states.index(absorb)
-    for idx in np.ndindex(shape[:-1]):
-        if gate_axis is not None and parent_vars[gate_axis].states[idx[gate_axis]] == 0:
-            cpt[idx + (absorb_idx,)] = 1.0
-            continue
-        cpt[idx][live] = _random_dist(rng, len(live))
+    cpt[~rows, gate[1]] = 1.0
+    block = np.zeros((len(p), shape[-1]))
+    block[:, live] = p
+    cpt[rows] = block
     return cpt
 
 
@@ -523,7 +518,7 @@ def random_separated_scm(k_max, seed, violation=None) -> SeparatedScm:
         raise ConfigurationError(f"k_max must be >= 1, got {k_max}")
     if violation is not None and violation not in VIOLATIONS:
         raise ConfigurationError(f"unknown violation {violation!r}; options: {VIOLATIONS}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     variables: list[Variable] = []
     by_name: dict[str, Variable] = {}
 
@@ -533,8 +528,11 @@ def random_separated_scm(k_max, seed, violation=None) -> SeparatedScm:
         by_name[name] = v
 
     def add_random(name, states, parents, gate=None, absorb=None):
-        pv = [by_name[p] for p in parents]
-        add(name, states, parents, _structured_cpt(rng, pv, tuple(states), gate, absorb))
+        shape = tuple(len(by_name[p].states) for p in parents) + (len(states),)
+        live = [k for k, s in enumerate(states) if s != NA]
+        if gate is not None:
+            gate = (parents.index(gate), states.index(absorb))
+        add(name, states, parents, _random_cpt(rng, shape, live, gate))
 
     add(TREATMENT_DIRECT, (0, 1), (), np.array([0.5, 0.5]))
     add(TREATMENT_MEDIATED, (0, 1), (), np.array([0.5, 0.5]))
@@ -615,22 +613,19 @@ def random_observational_scm(k_max, seed, violation=None) -> DiscreteScm:
     return to_observational(random_separated_scm(k_max, seed, violation))
 
 
-def random_scm_from_dag(dag: UnrolledDag, seed, n_states=2) -> DiscreteScm:
-    """Random model Markov to the lagged DAG: variables are 'name@lag', each
-    with a random CPT over its DAG parents (min cell probability applied)."""
-    rng = _as_rng(seed)
+def random_scm_from_dag(dag: UnrolledDag, seed) -> DiscreteScm:
+    """Random binary model Markov to the lagged DAG: variables are
+    'name@lag', each with a random CPT over its DAG parents (min cell
+    probability applied)."""
+    rng = np.random.default_rng(seed)
     parents_of = dag.adjacency[1]
-    states = tuple(range(n_states))
     variables = []
     for node in topological_order(dag.node_set(), dag.edges,
                                   key=lambda nd: (nd[1], nd[0])):
         parents = sorted(parents_of.get(node, ()), key=lambda nd: (nd[1], nd[0]))
-        shape = tuple(n_states for _ in parents) + (n_states,)
-        raw = rng.uniform(size=shape)
-        raw /= raw.sum(axis=-1, keepdims=True)
-        cpt = raw * (1.0 - n_states * MIN_CELL_PROB) + MIN_CELL_PROB
+        cpt = _random_cpt(rng, (2,) * (len(parents) + 1), (0, 1), None)
         variables.append(Variable(
-            lagged_name(*node), states,
+            lagged_name(*node), (0, 1),
             tuple(lagged_name(*p) for p in parents), cpt))
     return DiscreteScm(tuple(variables), grid=dag.lag_count)
 

@@ -548,17 +548,16 @@ def log_partial_likelihood(dataset: SurvivalDataset, gamma) -> float:
     return _cox_stats(_risk_sets(dataset), gamma)[0]
 
 
-def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
-               max_iter=MAX_ITER) -> CoxFit:
+def fit_cox_td(dataset: SurvivalDataset) -> CoxFit:
     """Damped-Newton fit of the time-dependent-covariate Cox model."""
     if dataset.n_events == 0:
         raise EstimationError("no events: the partial likelihood is empty")
     r = _risk_sets(dataset)
     gamma = np.zeros(r.covariates.shape[1])
     loglik, grad, info = _cox_stats(r, gamma)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= tol:
+        if gnorm <= GRAD_TOL:
             return CoxFit(gamma, loglik, it - 1, gnorm, info)
         try:
             step = np.linalg.solve(info, grad)
@@ -582,7 +581,7 @@ def fit_cox_td(dataset: SurvivalDataset, tol=GRAD_TOL,
                     f"step halving floor reached at iteration {it} "
                     f"(gradient norm {gnorm:.3e}; monotone likelihood?)")
     raise EstimationError(
-        f"Newton iteration did not converge in {max_iter} steps "
+        f"Newton iteration did not converge in {MAX_ITER} steps "
         f"(gradient norm {float(np.max(np.abs(grad))):.3e})")
 
 
@@ -668,15 +667,15 @@ class EffectCurves:
             raise EstimationError("SDE * SIE != total on the output grid")
 
 
-def effect_curves(rho_hat: StepFunction, km_a: StepFunction,
-                  km_astar: StepFunction, a=1, a_star=0) -> EffectCurves:
-    """SDE(t) = exp((a*-a) R(t)); total(t) = KM_a(t)/KM_a*(t);
-    SIE = total / SDE.  The grid is the union of all input jump times,
-    truncated where the reference survival hits zero."""
-    grid = np.unique(np.concatenate([rho_hat.times, km_a.times, km_astar.times]))
+def effect_curves(rho_hat: StepFunction, km_1: StepFunction,
+                  km_0: StepFunction) -> EffectCurves:
+    """Effects of a = 1 against a* = 0: SDE(t) = exp(-R(t)); total(t) =
+    KM_1(t)/KM_0(t); SIE = total / SDE.  The grid is the union of all input
+    jump times, truncated where the reference (a = 0) survival hits zero."""
+    grid = np.unique(np.concatenate([rho_hat.times, km_1.times, km_0.times]))
     if grid.size == 0:
         raise EstimationError("no jump times: nothing to evaluate")
-    s_ref = km_astar(grid)
+    s_ref = km_0(grid)
     zero = np.nonzero(s_ref <= 0)[0]
     if zero.size:
         grid = grid[:int(zero[0])]
@@ -684,8 +683,8 @@ def effect_curves(rho_hat: StepFunction, km_a: StepFunction,
         if grid.size == 0:
             raise EstimationError("reference survival is zero from the start")
     with np.errstate(over="ignore"):  # EffectCurves rejects an inf SDE
-        sde = np.exp((a_star - a) * rho_hat(grid))
-    total = km_a(grid) / s_ref
+        sde = np.exp(-rho_hat(grid))
+    total = km_1(grid) / s_ref
     sie = total / sde
     return EffectCurves(grid, sde, sie, total)
 
@@ -919,14 +918,14 @@ class EstimationResult:
     km: dict
 
 
-def estimate_effects(dataset: SurvivalDataset, a=1, a_star=0) -> EstimationResult:
-    """Fit the Cox model on the reference group, estimate the cumulative
-    treatment hazard, and assemble the effect curves."""
-    ref = dataset.group(a_star)
+def estimate_effects(dataset: SurvivalDataset) -> EstimationResult:
+    """Fit the Cox model on the reference group a* = 0, estimate the
+    cumulative treatment hazard, and assemble the effect curves of a = 1
+    against a* = 0."""
+    ref = dataset.group(0)
     fit = fit_cox_td(ref)
     baseline = breslow_baseline(fit, ref)
     rho_hat = estimate_rho(dataset, fit)
-    km = {g: kaplan_meier(ref if g == a_star else dataset.group(g))
-          for g in (0, 1)}
-    curves = effect_curves(rho_hat, km[a], km[a_star], a, a_star)
+    km = {0: kaplan_meier(ref), 1: kaplan_meier(dataset.group(1))}
+    curves = effect_curves(rho_hat, km[1], km[0])
     return EstimationResult(fit, baseline, rho_hat, curves, km)

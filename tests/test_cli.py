@@ -387,6 +387,20 @@ def test_empirical_identification_inputs_are_domain_errors(
     assert not (out_dir / "identify.json").exists()
 
 
+@pytest.mark.parametrize("bin_width", ["1e-15", "5e-324", "1e-5"],
+                         ids=["lags-1e-15", "lags-5e-324", "bins-1e-5"])
+def test_tiny_bin_width_is_a_size_error(bin_width, hawkes_file, tmp_path,
+                                        capsys):
+    # the lag count (first two) or the bin counts (last) would exceed
+    # EVENT_BUDGET; both are refused before anything is allocated
+    out_dir = tmp_path / "out"
+    assert main(["hawkes", "--model", hawkes_file, "--simulate", "200",
+                 "--identify", "--bin-width", bin_width,
+                 "--out", str(out_dir)]) == 1
+    assert _single_error(capsys)["code"] == "SizeError"
+    assert not (out_dir / "identify.json").exists()
+
+
 def test_hawkes_events_csv_chunks_match_the_per_row_format(tmp_path, capsys):
     # Over 65 536 events, so the text spans more than one chunk, and names
     # holding format directives.
@@ -521,3 +535,25 @@ def test_subcommand_stderr_is_shown_only_when_it_succeeds(
     else:
         assert code == 0
         assert capsys.readouterr().err == "a note on stderr\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["sep", "--from", "AM", "--target", "N"],
+    ["unroll", "--lags", "2"],
+], ids=["check", "sep", "unroll"])
+def test_graph_commands_close_the_graph_file(argv, graph_file):
+    # under -X dev an unclosed file is reported as a ResourceWarning on
+    # stderr, in a process of its own as a user would see it
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "medgraph.cli", argv[0],
+         graph_file, *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from medgraph.errors import (ConfigurationError, QueryError, SizeError,
                              UndefinedConditionalError)
 from medgraph.graphs import TailedDirectedGraph
-from medgraph.scm import (NA, VIOLATIONS, DiscreteScm, JointTable,
-                          SeparatedScm, Variable,
+from medgraph.randomgen import random_rolled_graph
+from medgraph.scm import (MIN_CELL_PROB, NA, TREATMENT_DIRECT,
+                          TREATMENT_MEDIATED, VIOLATIONS, DiscreteScm,
+                          JointTable, SeparatedScm, Variable,
                           conditionally_independent, g_computation,
                           granger_noncausal_exact, granger_noncausal_relative,
                           intervene, interventional_survival, joint,
@@ -420,6 +422,59 @@ def test_each_violation_is_flagged():
 def test_unknown_violation_rejected():
     with pytest.raises(ConfigurationError):
         random_separated_scm(1, seed=0, violation="frobnicate")
+
+
+# -- random model generators ---------------------------------------------------------
+
+
+def _row_by_row_cpt(rng, parent_states, states, gated):
+    """Reference sampler: one uniform draw per parent row, in C order.  A
+    gated variable (last parent a survival indicator) is NA, or 0 for a
+    survival indicator, in the rows where that parent is 0, and draws
+    nothing there."""
+    shape = tuple(len(s) for s in parent_states) + (len(states),)
+    cpt = np.zeros(shape)
+    live = [k for k, s in enumerate(states) if s != NA]
+    absorb = states.index(NA if NA in states else 0)
+    for idx in np.ndindex(shape[:-1]):
+        if gated and parent_states[-1][idx[-1]] == 0:
+            cpt[idx + (absorb,)] = 1.0
+            continue
+        p = rng.uniform(size=len(live))
+        p /= p.sum()
+        cpt[idx][live] = p * (1.0 - len(live) * MIN_CELL_PROB) + MIN_CELL_PROB
+    return cpt
+
+
+@pytest.mark.parametrize("violation", (None,) + VIOLATIONS)
+def test_separated_cpts_match_the_row_by_row_sampler(violation):
+    for k in range(1, 5):
+        for seed in range(3):
+            sep = random_separated_scm(k, seed=[seed, k], violation=violation)
+            rng = np.random.default_rng([seed, k])
+            for v in sep.variables:
+                if v.name in (TREATMENT_DIRECT, TREATMENT_MEDIATED):
+                    continue
+                gated = bool(v.parents) and v.parents[-1].startswith("S")
+                ref = _row_by_row_cpt(
+                    rng, [sep.var(p).states for p in v.parents], v.states, gated)
+                assert np.array_equal(v.cpt, ref), (k, seed, v.name)
+
+
+def test_dag_cpts_match_one_draw_per_table():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        g = random_rolled_graph(rng, n_nodes=5, n_baseline=2,
+                                tailed_acyclic=True)
+        seed = int(rng.integers(1000))
+        model = random_scm_from_dag(unroll(g, int(rng.integers(1, 4))), seed)
+        ref = np.random.default_rng(seed)
+        for v in model.variables:
+            assert v.states == (0, 1)
+            raw = ref.uniform(size=v.cpt.shape)
+            raw /= raw.sum(axis=-1, keepdims=True)
+            assert np.array_equal(
+                v.cpt, raw * (1.0 - 2 * MIN_CELL_PROB) + MIN_CELL_PROB), v.name
 
 
 # -- serialization -----------------------------------------------------------------
