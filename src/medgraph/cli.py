@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
+# rows of output CSV text formatted by one % operation
+WRITE_CHUNK_ROWS = 1 << 16
+
 
 # -- deterministic JSON and CSV with full-precision floats --------------------
 
@@ -256,10 +259,14 @@ def cmd_estimate(args):
 
 def _float_csv(header, columns):
     """CSV text of float columns under ``header``, every value formatted
-    as ``_fmt17`` does."""
+    as ``_fmt17`` does, with one ``%`` format per chunk of rows."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return header + "\n" + "".join(line % row for row in rows)
+    parts = [header + "\n"]
+    for lo in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
+        rows = np.column_stack([c[lo:lo + WRITE_CHUNK_ROWS] for c in columns])
+        parts.append(line * len(rows) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def _event_lines(stream, names):
@@ -267,7 +274,7 @@ def _event_lines(stream, names):
     held as strings at once; times are formatted as ``_fmt17`` does.  Each
     chunk is one ``%`` format of its times interleaved with their process
     names, which are arguments, so a ``%`` in a name is written as is."""
-    chunk = 1 << 16
+    chunk = WRITE_CHUNK_ROWS
     yield "time,process\n"
     for lo in range(0, len(stream), chunk):
         times = stream.times[lo:lo + chunk].tolist()

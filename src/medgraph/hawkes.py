@@ -32,6 +32,8 @@ from .errors import (ConfigurationError, DataError, EstimationError,
 RADIUS_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
 EVENT_BUDGET = 10_000_000
+# multiply-adds of the empirical covariance's lag sums: bins * (lags + 1) * n**2
+LAG_SUM_BUDGET = 10_000_000_000
 LAG_BLOCK = 8192                # bins per cached block in _lag_sums
 
 FIG7_NAMES = ("A", "M", "D", "L", "U")
@@ -435,6 +437,9 @@ def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
         raise DataError(f"only {n_bins} bins; need at least 100")
     if max_lag >= n_bins:
         raise DataError(f"max_lag {max_lag} needs more than the {n_bins} bins")
+    if n_bins * (max_lag + 1) * n * n > LAG_SUM_BUDGET:
+        raise SizeError(f"{n_bins} bins at {max_lag + 1} lags of {n} processes "
+                        f"exceed the {LAG_SUM_BUDGET} lag-sum budget")
     idx = np.minimum((stream.times / bin_width).astype(int), n_bins - 1)
     counts = np.bincount(idx * n + stream.procs,
                          minlength=n_bins * n).reshape(n_bins, n).astype(float)

@@ -27,11 +27,12 @@ returns, made on first use.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -242,13 +243,19 @@ def ingest_csv(path, columns) -> SurvivalDataset:
 
     ``columns`` maps the roles {'id', 'start', 'stop', 'event', 'treatment'}
     to header names and 'covariates' to a list of numeric columns.  The
-    ``csv`` module splits the file into rows, ``CSV_CHUNK_ROWS`` at a time,
-    and each needed column of a chunk becomes an array in one numpy call,
-    which parses a cell as Python's ``float`` or ``int`` does.  Blank lines
-    are skipped and not counted; a repeated header name means its last
-    column.  A cell that does not parse, a non-finite number, or a row too
-    short to hold a needed cell is reported with the 1-based data row
-    number of the first such row.
+    header is read as one ``csv`` record, the rest ``CSV_CHUNK_ROWS`` lines
+    at a time.  A plain chunk (see :func:`_plain_cells`) is split into its
+    cells with one ``str.split``; from the first chunk that is not plain
+    on, the ``csv`` module reads the rest of the file, so quoted fields,
+    CRLF line ends and blank lines are read as ``csv`` reads them.  Each
+    needed column of a chunk becomes an array in one numpy call, which
+    parses a cell as Python's ``float`` or ``int`` does.  Blank lines are
+    skipped and not counted; a repeated header name means its last column.
+    A cell that does not parse, a non-finite number, or a row too short to
+    hold a needed cell is reported with the 1-based data row number of the
+    first such row; text that does not decode, or that ``csv`` rejects (a
+    field over ``csv.field_size_limit()``, say), with its 1-based line
+    number in the file.
     """
     required = ("id", "start", "stop", "event", "treatment")
     missing = [k for k in required if k not in columns]
@@ -257,7 +264,24 @@ def ingest_csv(path, columns) -> SurvivalDataset:
     cov_cols = list(columns.get("covariates", []))
     needed = [columns[k] for k in required] + cov_cols
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            chunks = _read_chunks(fh, needed)
+        except UnicodeDecodeError as exc:
+            line = _undecodable_line(path, fh.encoding)
+            raise DataError(f"line {line}: text that does not decode as "
+                            f"{fh.encoding} ({exc.reason})") from None
+    if not chunks:
+        raise DataError("empty dataset: no data rows")
+    cols = [np.concatenate(c) for c in zip(*chunks)]
+    del chunks
+    return SurvivalDataset.build(*cols, tuple(cov_cols))
+
+
+def _read_chunks(fh, needed):
+    """The column chunks (see :func:`_chunk_columns`) of an open CSV file
+    whose header holds every name in ``needed``."""
+    reader, before = csv.reader(fh), 0  # file lines read ahead of reader
+    try:
         header = next(reader, None)
         if header is None:
             raise DataError("empty file: no header row")
@@ -266,38 +290,87 @@ def ingest_csv(path, columns) -> SurvivalDataset:
         if absent:
             raise DataError(f"missing columns: {absent}")
         index = [where[c] for c in needed]
-        chunks, done = [], 0
-        for lines in iter(lambda: list(islice(reader, CSV_CHUNK_ROWS)), []):
-            rows = list(filter(None, lines))
+        width, chunks, done = len(header), [], 0
+        for lines in iter(lambda: list(islice(fh, CSV_CHUNK_ROWS)), []):
+            cells = _plain_cells(lines, width)
+            if cells is None:
+                break
+            chunks.append(_chunk_columns(
+                lambda j: cells[j::width], len(lines), index, needed, done,
+                lambda: [cells[k:k + width]
+                         for k in range(0, len(cells), width)]))
+            done += len(lines)
+            del lines, cells  # freed before the next chunk is read
+        else:
+            return chunks
+        # plain lines are whole records, none blank
+        before = reader.line_num + done
+        reader = csv.reader(chain(lines, fh))
+        for records in iter(lambda: list(islice(reader, CSV_CHUNK_ROWS)), []):
+            rows = list(filter(None, records))
             if rows:
-                chunks.append(_chunk_columns(rows, index, needed, done))
+                chunks.append(_chunk_columns(
+                    lambda j: map(itemgetter(j), rows), len(rows), index,
+                    needed, done, lambda: rows))
                 done += len(rows)
-            del lines, rows  # so the last chunk is not held through build
-    if not chunks:
-        raise DataError("empty dataset: no data rows")
-    cols = [np.concatenate(c) for c in zip(*chunks)]
-    del chunks
-    return SurvivalDataset.build(*cols, tuple(cov_cols))
+            del records, rows
+    except csv.Error as exc:
+        raise DataError(f"line {before + reader.line_num}: {exc}") from None
+    return chunks
 
 
-def _chunk_columns(rows, index, names, done):
+def _plain_cells(lines, width):
+    """The cells of a chunk of ``lines``, row after row, when ``csv`` would
+    read each line as the same ``width`` fields that splitting at its
+    commas gives, else None.  That holds when the chunk has no quote,
+    carriage return or NUL, every line has ``width - 1`` commas (so no
+    line is blank, as ``width`` is at least 2) and none is longer than
+    ``csv.field_size_limit()``; each line but the file's last then ends
+    in a newline."""
+    text = "".join(lines)
+    if (width < 2 or '"' in text or "\r" in text or "\0" in text
+            or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        cells.pop()  # the empty cell after the last newline
+    return cells
+
+
+def _undecodable_line(path, encoding):
+    """The 1-based number of the first line of the file at ``path`` that
+    does not decode as ``encoding``."""
+    decoder = codecs.getincrementaldecoder(encoding)()
+    number = 0
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                decoder.decode(raw)
+            except UnicodeDecodeError:
+                return number
+    return number  # the file ends inside a character
+
+
+def _chunk_columns(column, n, index, names, done, rows):
     """The id, start, stop, event and treatment columns and the covariate
-    matrix of one chunk of CSV rows; ``done`` data rows precede it."""
-    def column(j, kind):
-        return np.fromiter(map(itemgetter(j), rows), dtype=kind,
-                           count=len(rows))
+    matrix of one chunk of ``n`` CSV rows; ``column(j)`` iterates over the
+    cells of column ``j``, ``rows()`` lists the rows' cells, and ``done``
+    data rows precede the chunk."""
+    def convert(j, kind):
+        return np.fromiter(column(j), dtype=kind, count=n)
 
     try:
-        cols = [column(j, kind) for j, kind in
+        cols = [convert(j, kind) for j, kind in
                 zip(index, (object, float, float, int, int))]
-        covs = np.empty((len(rows), len(index) - 5))
+        covs = np.empty((n, len(index) - 5))
         for k, j in enumerate(index[5:]):
-            covs[:, k] = column(j, float)
+            covs[:, k] = convert(j, float)
     except (IndexError, TypeError, ValueError, OverflowError):
-        _raise_first_bad_row(rows, index, names, done)
+        _raise_first_bad_row(rows(), index, names, done)
     if not (np.isfinite(cols[1]).all() and np.isfinite(cols[2]).all()
             and np.isfinite(covs).all()):
-        _raise_first_bad_row(rows, index, names, done)
+        _raise_first_bad_row(rows(), index, names, done)
     return cols + [covs]
 
 

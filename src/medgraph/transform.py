@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphError
+from .errors import GraphError, SizeError
 from .graphs import TailedDirectedGraph, UnrolledDag, find_tailed_cycle
+
+UNROLL_EDGE_BUDGET = 1 << 18
 
 
 def unroll(graph: TailedDirectedGraph, lags: int) -> UnrolledDag:
@@ -19,6 +21,10 @@ def unroll(graph: TailedDirectedGraph, lags: int) -> UnrolledDag:
     """
     if lags < 1:
         raise GraphError(f"lags must be >= 1, got {lags}")
+    size = _unrolled_edge_count(graph, lags)
+    if size > UNROLL_EDGE_BUDGET:
+        raise SizeError(f"unrolling on {lags} lags would make {size} edges "
+                        f"(budget {UNROLL_EDGE_BUDGET})")
     cycle = find_tailed_cycle(graph)
     if cycle:
         raise GraphError(
@@ -46,6 +52,21 @@ def unroll(graph: TailedDirectedGraph, lags: int) -> UnrolledDag:
             if t in lags_of(j):
                 edges.add(((i, t), (j, t)))
     return UnrolledDag.build(lags, process, baseline, edges)
+
+
+def _unrolled_edge_count(graph: TailedDirectedGraph, lags: int) -> int:
+    """The number of edges ``unroll(graph, lags)`` makes, counted without
+    making them: each process's own lag edges, each edge's copies at lag
+    pairs s < t, and each tailed edge's same-lag copies."""
+    process = graph.process_nodes
+    pairs = lags * (lags + 1) // 2
+    count = len(process) * pairs
+    for (i, j) in graph.all_edges:
+        if j in process:
+            count += pairs if i in process else lags
+    for (i, j) in graph.tailed:
+        count += lags + 1 if i in process and j in process else 1
+    return count
 
 
 def roll(dag: UnrolledDag) -> TailedDirectedGraph:

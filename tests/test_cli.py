@@ -557,3 +557,70 @@ def test_graph_commands_close_the_graph_file(argv, graph_file):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 7])
+def test_float_csv_chunks_match_the_per_row_format(n, monkeypatch):
+    from medgraph import cli
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 3)
+    rng = np.random.default_rng(n)
+    cols = [rng.standard_normal(n) * 1e10, np.arange(n) / 7.0,
+            np.linspace(-1.0, 1.0, n)]
+    line = "%.17g,%.17g,%.17g\n"
+    expected = "t,x,y\n" + "".join(line % row
+                                   for row in zip(*(c.tolist() for c in cols)))
+    assert cli._float_csv("t,x,y", cols) == expected
+
+
+HEADER_CSV = "id,start,stop,event,treatment,m\n"
+HOSTILE_CSV = {
+    "undecodable byte": (HEADER_CSV.encode() + b"s0,0,1,0,1,0.5\n"
+                         b"s\xff1,0,1,1,0,0.2\n", "line 3: "),
+    "long cell": ((HEADER_CSV + "s0,0,1,0,1,0.5\ns1,0,1,1,0,"
+                   + "1" * 200_000 + "\n").encode(),
+                  "line 3: field larger than field limit"),
+    # csv reads NUL as a character from Python 3.11 on and rejects the line
+    # before; either way the cell does not parse
+    "NUL byte": ((HEADER_CSV + "s0,0,1,0,1,0.5\ns1,0,1\0,1,0,0.2\n").encode(),
+                 ("row 2: non-numeric cell", "line 3: line contains NUL")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CSV))
+def test_hostile_csv_is_a_data_error(case, tmp_path, capsys):
+    text, message = HOSTILE_CSV[case]
+    path = tmp_path / "hostile.csv"
+    path.write_bytes(text)
+    assert main(["estimate", "--data", str(path), "--out",
+                 str(tmp_path / "res")]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "DataError"
+    assert error["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["unroll", "{plain}", "--lags", "1000"],
+    ["unroll", "{plain}", "--lags", "10000000"],
+    ["sep", "{plain}", "--flavor", "d", "--from", "Q@0", "--target", "S@2",
+     "--lags", "10000000"],
+    ["hawkes", "--model", "{hawkes}", "--simulate", "200", "--identify",
+     "--bin-width", "1e-4", "--out", "{out}"],
+], ids=["unroll-1000", "unroll-1e7", "sep-d-1e7", "hawkes-lag-sums"])
+def test_sizes_over_budget_are_refused_before_the_work(argv, plain_file,
+                                                       hawkes_file, tmp_path):
+    # each ran for minutes before its size was checked; in a process of its
+    # own, so a hang fails at the timeout instead of stalling the run
+    import os
+    import subprocess
+    import sys
+    argv = [a.format(plain=plain_file, hawkes=hawkes_file,
+                     out=tmp_path / "out") for a in argv]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "medgraph.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["code"] == "SizeError"
+    assert proc.stdout == ""

@@ -338,6 +338,15 @@ def test_empirical_cov_rejects_a_lag_window_longer_than_the_data():
         integrated_cov_empirical(stream, bin_width=0.2, max_lag=-1)
 
 
+def test_empirical_cov_refuses_lag_sums_over_budget(monkeypatch):
+    stream = simulate(random_fig7_model(seed=5), t_end=40.0, seed=5)
+    # 200 bins of 5 processes; 8 lags fit the budget exactly, 9 do not
+    monkeypatch.setattr(hk, "LAG_SUM_BUDGET", 200 * 8 * 5 * 5)
+    integrated_cov_empirical(stream, bin_width=0.2, max_lag=7)
+    with pytest.raises(SizeError, match="lag-sum budget"):
+        integrated_cov_empirical(stream, bin_width=0.2, max_lag=8)
+
+
 @pytest.mark.parametrize("bin_width", [np.nan, 0.0, -1.0, np.inf])
 def test_bin_width_must_be_positive_and_finite(bin_width):
     model = random_fig7_model(seed=5)

@@ -927,3 +927,157 @@ def test_ingest_csv_peak_memory_is_bounded(rows_per_subject, tmp_path):
         tracemalloc.stop()
     assert len(ds) == n
     assert peak <= 2 * _held_bytes(ds)
+
+
+def _plain_rows(lo, hi):
+    return [f"p{k},0,{1 + k % 3},{k % 2},{k % 2},{k * 0.5}"
+            for k in range(lo, hi)]
+
+
+def _count_csv_readers(monkeypatch):
+    """Record each ``csv.reader`` made from now on."""
+    calls, reader = [], csv.reader
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting)
+    return calls
+
+
+HEADER = "id,tstart,tstop,death,arm,biomarker"
+PAD = " " * 70_000  # two padded cells make a line over csv's field limit
+# file text, and whether csv reads part of the data (else only the header)
+MIXED_CSV = {
+    "plain": (HEADER + "\n" + "\n".join(_plain_rows(0, 9)) + "\n", False),
+    "quoted multi-line field after plain chunks": (
+        HEADER + "\n" + "\n".join(_plain_rows(0, 7)
+                                  + ['"q\n1\n2\n3",0,1,0,0,2']
+                                  + _plain_rows(7, 12)) + "\n", True),
+    "CRLF file": (HEADER + "\r\n" + "\r\n".join(_plain_rows(0, 7)) + "\r\n",
+                  True),
+    "ragged row in a plain chunk": (
+        HEADER + ",note\n" + "\n".join(
+            [r + ",n" for r in _plain_rows(0, 4)] + _plain_rows(4, 5)
+            + [r + ",n,extra" for r in _plain_rows(5, 6)]
+            + [r + ",n" for r in _plain_rows(6, 9)]) + "\n", True),
+    "blank lines": (HEADER + "\n" + "\n".join(
+        _plain_rows(0, 4) + [""] + _plain_rows(4, 8)) + "\n\n", True),
+    "trailing blank line": (HEADER + "\n" + "\n".join(_plain_rows(0, 5))
+                            + "\n\n", True),
+    "quoted cells on lines with the header's comma count": (
+        HEADER + "\n" + "\n".join(_plain_rows(0, 5) + ['"p9",0,1,0,1,"2.5"']
+                                  + _plain_rows(5, 8)) + "\n", True),
+    "no final newline": (HEADER + "\n" + "\n".join(_plain_rows(0, 7)), False),
+    "over-long line": (HEADER + "\n" + "\n".join(
+        _plain_rows(0, 4) + [f"p9,{PAD}0,2,1,1,2.5{PAD}"]
+        + _plain_rows(4, 7)) + "\n", True),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1 << 13])
+@pytest.mark.parametrize("case", sorted(MIXED_CSV))
+def test_ingest_csv_mixing_plain_chunks_and_csv_matches_reference(
+        case, chunk_rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(survival, "CSV_CHUNK_ROWS", chunk_rows)
+    text, csv_reads_data = MIXED_CSV[case]
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    readers = _count_csv_readers(monkeypatch)
+    got = ingest_csv(p, COLUMNS)
+    assert len(readers) == 1 + csv_reads_data
+    want = _reference_ingest(p, COLUMNS)
+    assert _same_dataset(got, want)
+    for k in ("subject", "start", "stop", "event", "treatment", "covariates"):
+        assert getattr(got, k).dtype == getattr(want, k).dtype
+
+
+PLAIN_BAD_ROWS = {
+    "non-numeric cell": "p,0,x,0,0,1",
+    "int column holds a float": "p,0,1,1.0,0,5",
+    "empty cell": "p,0,1,0,,5",
+    "non-finite covariate": "p,0,1,0,0,-inf",
+    "overflowing float": "p,0,1e999,0,0,1",
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1 << 13])
+@pytest.mark.parametrize("at", [0, 4, 8])
+@pytest.mark.parametrize("case", sorted(PLAIN_BAD_ROWS))
+def test_ingest_csv_plain_chunk_errors_match_reference(case, at, chunk_rows,
+                                                       tmp_path, monkeypatch):
+    monkeypatch.setattr(survival, "CSV_CHUNK_ROWS", chunk_rows)
+    rows = _plain_rows(0, 9)
+    rows[at] = PLAIN_BAD_ROWS[case]
+    p = tmp_path / "d.csv"
+    p.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    readers = _count_csv_readers(monkeypatch)
+    with pytest.raises(DataError) as got:
+        ingest_csv(p, COLUMNS)
+    assert len(readers) == 1  # the error comes from a plain chunk
+    with pytest.raises(DataError) as want:
+        _reference_ingest(p, COLUMNS)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"row {at + 1}: ")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 1 << 13])
+@pytest.mark.parametrize("text, message", [
+    (b"id,tstart,tstop,death,arm,biomarker\np0,0,1,0,1,2\ns\xff1,0,1,1,0,3\n",
+     "line 3: text that does not decode"),
+    (b"id,tstart,tstop,death,arm,biomarker\np0,0,1,0,1,2\np1,0,1,1,0,3"
+     b"\xe2\x82", "line 3: text that does not decode"),
+    (("id,tstart,tstop,death,arm,biomarker\np0,0,1,0,1,2\np1,0,1,1,0,"
+      + "1" * (1 << 17) + "1\n").encode(),
+     "line 3: field larger than field limit (131072)"),
+    (("id,tstart,tstop,death,arm,biomarker\np0,0,1,0,1,2\n"
+      + '"p1' + "x" * (1 << 17) + '",0,1,1,0,1\n').encode(),
+     "line 3: field larger than field limit (131072)"),
+    (("id,tstart,tstop,death,arm,biomarker" + "1" * (1 << 17)
+      + "\np0,0,1,0,1,2\n").encode(),
+     "line 1: field larger than field limit (131072)"),
+], ids=["undecodable byte", "truncated character", "long cell",
+        "long quoted cell", "long header"])
+def test_ingest_csv_reports_unreadable_text_with_its_line(
+        text, message, chunk_rows, tmp_path, monkeypatch):
+    # the decoding cases assume a UTF-8 default encoding
+    monkeypatch.setattr(survival, "CSV_CHUNK_ROWS", chunk_rows)
+    p = tmp_path / "d.csv"
+    p.write_bytes(text)
+    with pytest.raises(DataError) as err:
+        ingest_csv(p, COLUMNS)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 1 << 13])
+def test_ingest_csv_gives_csv_verdict_on_nul(chunk_rows, tmp_path,
+                                             monkeypatch):
+    # csv rejects a NUL before Python 3.11 and reads it as a character from
+    # then on; a chunk holding one is not split by ingest_csv itself
+    monkeypatch.setattr(survival, "CSV_CHUNK_ROWS", chunk_rows)
+    rows = _plain_rows(0, 5)
+    rows[2] = "p,0,1\0,0,0,2"
+    p = tmp_path / "d.csv"
+    p.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError) as got:
+        ingest_csv(p, COLUMNS)
+    try:
+        _reference_ingest(p, COLUMNS)
+    except csv.Error as exc:
+        assert str(got.value) == f"line 4: {exc}"
+    except DataError as exc:
+        assert str(got.value) == str(exc)
+
+
+def test_ingest_csv_one_column_file_skips_blank_lines(tmp_path):
+    # with one column a blank line has the header's (zero) commas, but csv
+    # skips it: such a file is never split by ingest_csv itself
+    p = tmp_path / "d.csv"
+    p.write_text("x\n1\n\n2\n")
+    columns = dict.fromkeys(("id", "start", "stop", "event", "treatment"), "x")
+    with pytest.raises(DataError) as want:
+        _reference_ingest(p, columns)
+    with pytest.raises(DataError) as got:
+        ingest_csv(p, columns)
+    assert str(got.value) == str(want.value)

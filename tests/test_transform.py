@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medgraph.errors import GraphError
+from medgraph import transform
+from medgraph.errors import GraphError, SizeError
 from medgraph.graphs import TailedDirectedGraph, UnrolledDag
 from medgraph.randomgen import random_rolled_graph
 from medgraph.transform import ProperPair, is_proper, roll, unroll
@@ -99,3 +100,19 @@ def test_lag_restriction_is_unrolling(seed):
     rng = np.random.default_rng(seed)
     g = random_rolled_graph(rng, tailed_acyclic=True)
     assert unroll(g, 3).restrict_lags(2) == unroll(g, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 5))
+def test_unrolled_edge_count_is_the_edges_unroll_makes(seed, lags):
+    rng = np.random.default_rng(seed)
+    g = random_rolled_graph(rng, tailed_acyclic=True)
+    assert transform._unrolled_edge_count(g, lags) == len(unroll(g, lags).edges)
+
+
+def test_unroll_refuses_more_edges_than_its_budget(graph_tailed, monkeypatch):
+    size = len(unroll(graph_tailed, 3).edges)
+    monkeypatch.setattr(transform, "UNROLL_EDGE_BUDGET", size)
+    assert len(unroll(graph_tailed, 3).edges) == size
+    with pytest.raises(SizeError, match="budget"):
+        unroll(graph_tailed, 4)
