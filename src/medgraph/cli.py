@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -428,7 +429,6 @@ def build_parser():
     sp.add_argument("--no-a0", action="store_true",
                     help="do not assert randomized treatment")
     common(sp)
-    sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("sep", help="separation query on a graph file")
     sp.add_argument("graph")
@@ -441,14 +441,12 @@ def build_parser():
     sp.add_argument("--lags", type=int, default=2,
                     help="unrolling depth for the d flavor")
     common(sp)
-    sp.set_defaults(fn=cmd_sep)
 
     sp = sub.add_parser("unroll", help="unroll a rolled graph file")
     sp.add_argument("graph")
     sp.add_argument("--lags", type=int, required=True)
     sp.add_argument("--out", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_unroll)
 
     sp = sub.add_parser("simulate", help="exact queries on a discrete model")
     sp.add_argument("--scm", required=True, help="model specification (JSON)")
@@ -459,7 +457,6 @@ def build_parser():
     sp.add_argument("--astar", type=int, default=0)
     sp.add_argument("--t", type=int, default=1)
     common(sp)
-    sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("estimate", help="survival effect estimation")
     sp.add_argument("--data", required=True)
@@ -476,7 +473,6 @@ def build_parser():
     sp.add_argument("--split", type=float, default=None)
     sp.add_argument("--boot", type=int, default=0)
     common(sp)
-    sp.set_defaults(fn=cmd_estimate)
 
     sp = sub.add_parser("hawkes", help="Hawkes simulation and identification")
     sp.add_argument("--model", required=True)
@@ -485,12 +481,18 @@ def build_parser():
     sp.add_argument("--bin-width", type=float, default=0.2)
     sp.add_argument("--out", required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_hawkes)
 
     sp = sub.add_parser("selftest", help="run the seeded property suites")
     common(sp)
-    sp.set_defaults(fn=cmd_selftest)
     return p
+
+
+@functools.cache
+def _parser():
+    """The parser, built on the first call and kept for the life of the
+    process: ``parse_args`` reads it and changes nothing in it, and no
+    argument has a mutable default."""
+    return build_parser()
 
 
 def _error(code, exc, status):
@@ -499,9 +501,8 @@ def _error(code, exc, status):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # What the subcommand writes to stderr (warnings, say) is held back: a
@@ -509,7 +510,8 @@ def main(argv=None):
     held = io.StringIO()
     try:
         with contextlib.redirect_stderr(held):
-            status = args.fn(args)
+            # looked up now, not when the parser was built
+            status = globals()["cmd_" + args.command](args)
     except (FileNotFoundError, UsageError) as exc:
         return _error("usage", exc, EXIT_USAGE)
     except MedgraphError as exc:

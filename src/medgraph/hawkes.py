@@ -174,10 +174,10 @@ def mean_intensities(model: HawkesModel) -> np.ndarray:
     return expected_cluster_matrix(model) @ model.mu
 
 
-def decompose_effects(model: HawkesModel, source="A", mediator="M",
-                      outcome="D") -> dict:
-    """Direct, mediated and total expected outcome events per source event."""
-    i_s, i_m, i_o = (model.index(x) for x in (source, mediator, outcome))
+def decompose_effects(model: HawkesModel, source="A", mediator="M") -> dict:
+    """Direct, mediated and total expected events of the outcome process D
+    per source event."""
+    i_s, i_m, i_o = (model.index(x) for x in (source, mediator, "D"))
     if len({i_s, i_m, i_o}) != 3:
         raise ConfigurationError("source, mediator and outcome must differ")
     r = expected_cluster_matrix(model)

@@ -3,7 +3,8 @@
 Variables live in a fixed temporal order (treatment, then alternating
 mediator / covariate / survival-indicator blocks); each carries a conditional
 probability table over its parents.  All inference is by exhaustive
-summation on the full joint table, so models must stay small.  The module
+summation on the full joint table, so models must stay small; each model
+builds its joint table once, on first use, and keeps it.  The module
 provides do-interventions, the mediational g-formula and g-computation (one
 conditional table per factor, each marginalized from the joint once, then
 their product summed over the 0/1 mediator and covariate histories), and
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +135,11 @@ class DiscreteScm:
             size *= len(v.states)
         return size
 
+    @cached_property
+    def _joint(self):
+        return JointTable(self.names, tuple(v.states for v in self.variables),
+                          _cpt_product(self))
+
 
 @dataclass(frozen=True, eq=False)
 class SeparatedScm(DiscreteScm):
@@ -147,6 +154,12 @@ class SeparatedScm(DiscreteScm):
         for name in (self.treatment_direct, self.treatment_mediated):
             if self.var(name).parents:
                 raise ConfigurationError(f"treatment component {name!r} must be a root")
+
+    @cached_property
+    def _treatment_free(self):
+        """Product of every CPT but the two treatment components'."""
+        return _cpt_product(self, (self.treatment_direct,
+                                   self.treatment_mediated))
 
 
 # -- joint tables -----------------------------------------------------------
@@ -227,19 +240,33 @@ def _expand(cpt, axes, rank):
     return arr.reshape(shape)
 
 
-def joint(scm: DiscreteScm) -> JointTable:
-    """Exact joint distribution as the product of all CPTs."""
+def _check_cells(scm):
     if scm.n_cells > CELL_BUDGET:
         raise SizeError(
             f"joint table would need {scm.n_cells} cells (budget {CELL_BUDGET})")
+
+
+def _cpt_product(scm, skip=()):
+    """Product of the CPTs of every variable of ``scm`` not named in
+    ``skip``, multiplied in model order, as a read-only array with one axis
+    per variable (an axis no factor spans is broadcast)."""
     names = scm.names
     pos = {n: i for i, n in enumerate(names)}
     rank = len(names)
     probs = np.ones([1] * rank)
     for v in scm.variables:
-        axes = [pos[p] for p in v.parents] + [pos[v.name]]
-        probs = probs * _expand(v.cpt, axes, rank)
-    return JointTable(names, tuple(v.states for v in scm.variables), probs)
+        if v.name not in skip:
+            axes = [pos[p] for p in v.parents] + [pos[v.name]]
+            probs = probs * _expand(v.cpt, axes, rank)
+    return np.broadcast_to(probs, tuple(len(v.states) for v in scm.variables))
+
+
+def joint(scm: DiscreteScm) -> JointTable:
+    """Exact joint distribution as the product of all CPTs, built on the
+    model's first call and shared by every later one (its ``probs`` are
+    read-only)."""
+    _check_cells(scm)
+    return scm._joint
 
 
 # -- interventions ----------------------------------------------------------
@@ -262,11 +289,26 @@ def intervene(scm: DiscreteScm, assignments: dict) -> DiscreteScm:
 
 
 def interventional_survival(sep_scm: SeparatedScm, a, a_star, t_index) -> float:
-    """Exact P(alive at grid point t_index | do(direct=a, mediated=a_star))."""
+    """Exact P(alive at grid point t_index | do(direct=a, mediated=a_star)).
+
+    By the truncated factorization, the intervened joint is the model's
+    cached treatment-free product times a point mass at ``a`` on the direct
+    component's axis and one at ``a_star`` on the mediated one's: the table
+    ``joint(intervene(...))`` builds, bit for bit, without multiplying the
+    other CPTs again.  Its zeros are summed too, not sliced away, so numpy
+    adds the cells in the same order and the result keeps its last bit.
+    """
     _check_t_index(sep_scm, t_index)
-    fixed = intervene(sep_scm, {sep_scm.treatment_direct: a,
-                                sep_scm.treatment_mediated: a_star})
-    return joint(fixed).prob({survival_name(t_index): 1})
+    fixed = {sep_scm.treatment_direct: a, sep_scm.treatment_mediated: a_star}
+    points = {v.name: np.eye(len(v.states))[v.state_index(fixed[v.name])]
+              for v in sep_scm.variables if v.name in fixed}
+    _check_cells(sep_scm)
+    probs = sep_scm._treatment_free
+    for name, point in points.items():
+        probs = probs * _expand(point, [sep_scm.names.index(name)], probs.ndim)
+    table = JointTable(sep_scm.names,
+                       tuple(v.states for v in sep_scm.variables), probs)
+    return table.prob({survival_name(t_index): 1})
 
 
 def _check_t_index(scm, t_index):

@@ -37,11 +37,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, EstimationError
+from .errors import ConfigurationError, DataError, EstimationError, SizeError
 
 GRAD_TOL = 1e-8
 STEP_FLOOR = 1e-10
 MAX_ITER = 60
+# bootstrap replicates * (data rows + grid points): each replicate reads
+# every row and keeps one value per grid point until the bands are taken
+BOOT_BUDGET = 1 << 28
 
 
 # -- step functions -----------------------------------------------------------
@@ -866,13 +869,19 @@ def bootstrap(dataset: SurvivalDataset, statistic, n_boot, seed, grid=None,
     Each replicate uses an independent stream derived from (seed, replicate)
     so results do not depend on execution order.  Failing replicates are
     dropped and counted by exception class in ``drops``; more than 20% drops
-    is an error.
+    is an error.  ``n_boot`` * (rows + grid points) above BOOT_BUDGET is a
+    ``SizeError``, raised before the first replicate.
     """
     if n_boot < 2:
         raise ConfigurationError("need at least 2 bootstrap replicates")
     if grid is None:
         grid = np.unique(dataset.stop[dataset.event == 1])
     grid = np.asarray(grid, dtype=float)
+    n_rows = len(dataset.stop)
+    if n_boot * (n_rows + len(grid)) > BOOT_BUDGET:
+        raise SizeError(f"{n_boot} bootstrap replicates of {n_rows} rows and "
+                        f"{len(grid)} grid points exceed the {BOOT_BUDGET} "
+                        f"bootstrap budget")
     index, arms = _subject_index(dataset), {}
     rows, drops, first = [], {}, {}
     for rep in range(n_boot):

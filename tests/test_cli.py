@@ -537,6 +537,91 @@ def test_subcommand_stderr_is_shown_only_when_it_succeeds(
         assert capsys.readouterr().err == "a note on stderr\n"
 
 
+def test_parser_is_built_once_and_keeps_no_state(plain_file, graph_file,
+                                                monkeypatch):
+    from medgraph import cli
+    builds = []
+    original = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    seen = []
+    for name in ("sep", "estimate", "check"):
+        monkeypatch.setattr(cli, "cmd_" + name,
+                            lambda args: seen.append(vars(args)) or 0)
+    sep = ["sep", plain_file, "--from", "S", "--target", "R"]
+    estimate = ["estimate", "--data", "in.csv", "--out", "out"]
+    argvs = [sep + ["--given", "Q", "--lags", "5", "--flavor", "d",
+                    "--seed", "3", "--force"], sep,
+             estimate + ["--boot", "50", "--summary", "weighted",
+                         "--decay", "0.5"], estimate,
+             ["check", graph_file, "--no-a0"], ["check", graph_file]]
+    for argv in argvs:
+        assert main(argv) == 0
+    assert len(builds) == 1
+    # each call sees what a freshly built parser gives: the defaults where
+    # an option is left out after a call that set it
+    assert seen == [vars(original().parse_args(argv)) for argv in argvs]
+    assert (seen[1]["given"], seen[1]["lags"], seen[1]["flavor"],
+            seen[1]["seed"], seen[1]["force"]) == ("", 2, "delta", None, False)
+    assert (seen[3]["boot"], seen[3]["summary"], seen[3]["decay"]) == \
+        (0, None, None)
+
+
+@pytest.mark.parametrize("command", ["check", "sep"])
+def test_usage_error_and_version_leave_the_next_call_unchanged(
+        command, graph_file, capsys):
+    argv = [command, graph_file]
+    if command == "sep":
+        argv += ["--from", "AM", "--target", "N", "--given", "M"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main([command, graph_file, "--bogus"]) == 2
+    assert main([command]) == 2
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{graph}"],
+    ["check", "{graph}", "--no-a0", "--seed", "4"],
+    ["sep", "{plain}", "--from", "R", "--target", "S", "--given", "Q"],
+    ["sep", "{plain}", "--flavor", "granger", "--from", "S", "--target", "R"],
+    ["sep", "{plain}", "--flavor", "d", "--lags", "3", "--from", "S@0,S@1",
+     "--target", "R@2"],
+    ["sep", "--help"],
+    ["--help"],
+    ["sep", "{plain}", "--flavor", "x", "--from", "S", "--target", "R"],
+    ["frobnicate"],
+], ids=["check", "check-no-a0", "sep-delta", "sep-granger", "sep-d",
+        "sep-help", "help", "sep-bad-flavor", "bad-command"])
+def test_in_process_calls_match_a_fresh_process(argv, plain_file, graph_file,
+                                                monkeypatch, capsys):
+    # the in-process call reads the parser that earlier calls built
+    import os
+    import subprocess
+    import sys
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the width
+    argv = [a.format(plain=plain_file, graph=graph_file) for a in argv]
+    main(["check", graph_file])
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "medgraph.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (code, captured.out, captured.err) == \
+        (proc.returncode, proc.stdout, proc.stderr)
+
+
 @pytest.mark.parametrize("argv", [
     ["check"],
     ["sep", "--from", "AM", "--target", "N"],
@@ -596,6 +681,29 @@ def test_hostile_csv_is_a_data_error(case, tmp_path, capsys):
     error = _single_error(capsys)
     assert error["code"] == "DataError"
     assert error["message"].startswith(message)
+
+
+def test_estimate_boot_over_budget_is_a_size_error(tmp_path):
+    # in a process of its own: before the budget, --boot 1e8 ran until killed
+    import os
+    import subprocess
+    import sys
+    path = tmp_path / "small.csv"
+    path.write_text("id,start,stop,event,treatment,m\n" + "".join(
+        f"{i},0,{1 + i % 5},{i % 2},{i % 3 % 2},{i % 7 / 7}\n"
+        for i in range(60)))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "medgraph.cli", "estimate", "--data",
+         str(path), "--out", str(tmp_path / "res"), "--boot", "100000000"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == "SizeError"
+    assert "bootstrap budget" in error["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -146,6 +146,90 @@ def test_interventional_survival_t_index_range():
         interventional_survival(sep, 1, 1, 0)
 
 
+# -- one product per model ----------------------------------------------------
+
+
+def test_cached_joint_is_read_only():
+    scm = _tiny_obs_scm()
+    t = joint(scm)
+    assert joint(scm) is t
+    with pytest.raises(ValueError):
+        t.probs[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("violation", [None, *VIOLATIONS])
+def test_interventional_survival_matches_the_intervened_joint(k_max,
+                                                              violation):
+    for seed in range(8):
+        sep = random_separated_scm(k_max, [seed, 31], violation)
+        for a, a_star, t in itertools.product((0, 1), (0, 1),
+                                              range(1, k_max + 1)):
+            fixed = intervene(sep, {TREATMENT_DIRECT: a,
+                                    TREATMENT_MEDIATED: a_star})
+            ref = joint(fixed).prob({f"S{t}": 1})
+            assert interventional_survival(sep, a, a_star, t) == ref
+
+
+def test_interventional_survival_reports_bad_treatment_values():
+    sep = random_separated_scm(1, 3)
+    for a, a_star in ((2, 0), (0, 2)):
+        with pytest.raises(ConfigurationError, match="not in state space"):
+            interventional_survival(sep, a, a_star, 1)
+
+
+def _count_products(monkeypatch):
+    from medgraph import scm as scm_mod
+    built = []
+    original = scm_mod._cpt_product
+
+    def counted(model, *args):
+        built.append((id(model), args))
+        return original(model, *args)
+
+    monkeypatch.setattr(scm_mod, "_cpt_product", counted)
+    return built
+
+
+def test_each_product_is_built_once_per_model(monkeypatch):
+    built = _count_products(monkeypatch)
+    sep = random_separated_scm(3, 12)
+    obs = to_observational(sep)
+    regimes = list(itertools.product((0, 1), (0, 1)))
+    for _ in range(2):
+        for a, a_star in regimes:
+            mediational_g_formula(obs, a, a_star, 3)
+            interventional_survival(sep, a, a_star, 3)
+        verify_assumptions_exact(sep)
+    # the observational joint, the separated joint and the separated
+    # model's treatment-free product
+    assert len(built) == 3
+    assert len(set(built)) == 3
+
+
+def test_cell_budget_is_checked_on_every_call(monkeypatch):
+    from medgraph import scm as scm_mod
+    sep = random_separated_scm(2, 5)
+    obs = to_observational(sep)
+    calls = [lambda: joint(sep), lambda: verify_assumptions_exact(sep),
+             lambda: interventional_survival(sep, 1, 0, 2),
+             lambda: mediational_g_formula(obs, 1, 0, 2)]
+    for call in calls:  # fill every cache first
+        call()
+    built = _count_products(monkeypatch)
+    monkeypatch.setattr(scm_mod, "CELL_BUDGET", obs.n_cells - 1)
+    for call in calls * 2:
+        with pytest.raises(SizeError, match="budget"):
+            call()
+    fresh = random_separated_scm(2, 6)
+    for call in (lambda: joint(fresh),
+                 lambda: interventional_survival(fresh, 1, 0, 2)):
+        for _ in range(2):
+            with pytest.raises(SizeError, match="budget"):
+                call()
+    assert built == []
+
+
 # -- structural bookkeeping of random separated models ------------------------
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from medgraph import survival
-from medgraph.errors import ConfigurationError, DataError, EstimationError
+from medgraph.errors import (ConfigurationError, DataError, EstimationError,
+                             SizeError)
 from medgraph.survival import (CoxFit, EffectCurves, SimulationConfig,
                                StepFunction, SurvivalDataset, bootstrap,
                                breslow_baseline, effect_curves,
@@ -374,6 +375,25 @@ def test_bootstrap_too_many_failures():
 def test_bootstrap_needs_two_replicates():
     with pytest.raises(ConfigurationError):
         bootstrap(_sim_ds(seed=14, n=50), kaplan_meier, n_boot=1, seed=0)
+
+
+def test_bootstrap_budget_is_checked_before_the_first_replicate(monkeypatch):
+    ds = _sim_ds(seed=14, n=50)
+    grid = np.array([1.0, 2.0, 3.0])
+    calls = []
+
+    def constant(_):
+        calls.append(1)
+        return lambda t: np.full_like(t, 0.5)
+
+    size = 4 * (len(ds) + len(grid))
+    monkeypatch.setattr(survival, "BOOT_BUDGET", size)
+    assert bootstrap(ds, constant, n_boot=4, seed=0, grid=grid).n_boot == 4
+    assert len(calls) == 4
+    monkeypatch.setattr(survival, "BOOT_BUDGET", size - 1)
+    with pytest.raises(SizeError, match="bootstrap budget"):
+        bootstrap(ds, constant, n_boot=4, seed=0, grid=grid)
+    assert len(calls) == 4
 
 
 def test_resample_preserves_subject_count():
