@@ -35,8 +35,11 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-# rows of output CSV text formatted by one % operation
-WRITE_CHUNK_ROWS = 1 << 16
+# rows of output CSV text built as one byte matrix; at 1 << 16 rows the
+# chunk's temporaries (megabytes each) left the heap laid out so that the
+# peak RSS of `hawkes --simulate 1e5 --identify` swung between 96 and 106 MB
+# with the length of the output path
+WRITE_CHUNK_ROWS = 1 << 14
 
 
 # -- deterministic JSON and CSV with full-precision floats --------------------
@@ -44,6 +47,151 @@ WRITE_CHUNK_ROWS = 1 << 16
 
 def _fmt17(x):
     return format(float(x), ".17g")
+
+
+# -- the same text for float arrays, built as bytes ---------------------------
+#
+# A double x with 1e-4 <= |x| < 1e17 prints in fixed notation.  With
+# k = floor(log10|x|), its 17 significant digits are D = |x| * 10**(16 - k)
+# rounded half to even, an integer in [10**16, 10**17).  The product is
+# formed exactly with Dekker's two-product (the scale 10**p, p <= 20, is an
+# exact double), so D is the correctly rounded value that %.17g prints.
+# None of these x rounds up to 1e17: at k = 16, x itself is an integer.
+# Every other cell (0, -0, nan, inf, tiny and huge values) is formatted by
+# Python, cell by cell.
+
+_CELL_WIDTH = 24  # longest %.17g text: "-1.2345678901234567e-308"
+# row n: the first n bytes of a cell, then the separator that follows it
+_CELL_KEEP = np.arange(_CELL_WIDTH + 1) < np.arange(_CELL_WIDTH + 1)[:, None]
+_CELL_KEEP[:, _CELL_WIDTH] = True
+_POW10 = np.array([float(10 ** p) for p in range(21)])  # exact doubles
+_ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
+
+
+@functools.cache
+def _quad_tables():
+    """The four ASCII digits of each of 0 .. 9999 as one uint32, and their
+    trailing zeros (4 for 0).  Built on first use, so commands that write
+    no CSV do not pay for them."""
+    digits = (np.arange(10000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.uint16)
+              % np.uint16(10) + np.uint16(_ZERO)).astype(np.uint8)
+    zeros = np.cumprod(digits[:, ::-1] == _ZERO, axis=1).sum(axis=1)
+    return digits.view(np.uint32).ravel(), zeros
+
+
+def _split(a):
+    """Veltkamp's split of doubles into halves of at most 26 bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled_round(a, k):
+    """``a * 10**(16 - k)`` rounded half to even, exactly, as int64.
+
+    Dekker's product gives ``a * 10**p == h + l`` in doubles.  When the
+    result has 17 digits, h >= 2**53 is an integer, so the rounding is
+    decided by l alone."""
+    p = 16 - k
+    h = a * _POW10[p]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[p], _POW10_LO[p]
+    l = al * bl - (((h - ah * bh) - al * bh) - ah * bl)
+    fl = np.floor(l)
+    d = h.astype(np.int64) + fl.astype(np.int64)
+    r = l - fl
+    return d + ((r > 0.5) | ((r == 0.5) & ((d & 1) == 1))).astype(np.int64)
+
+
+def _digits17(a):
+    """The 17 significant digits D and decimal exponent k of each of the
+    positive doubles ``a`` (1e-4 <= a < 1e17), as %.17g rounds them."""
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    d = _scaled_round(a, k)
+    # Move k until D lies in [10**16, 10**17).  log10 may misjudge k by one
+    # next to a power of ten, and D = 10**17 rounds up to 10**(k + 1),
+    # where D is 10**16.  A k one too high cannot give D = 10**16: that
+    # needs a double less than 5e-17 (relative) below 10**k, and there is
+    # none for k in [-3, 17].
+    while True:
+        move = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+        wrong = np.flatnonzero(move)
+        if not len(wrong):
+            break
+        k[wrong] += move[wrong]
+        d[wrong] = _scaled_round(a[wrong], k[wrong])
+    return d, k
+
+
+def _place(digits, k, neg, out):
+    """Lay out ``digits`` (17 ASCII columns) of one exponent ``k`` and sign
+    in fixed notation at the start of each row of ``out``: all 17 digits
+    and the point, of which the cell's length keeps the text."""
+    s = int(neg)
+    if s:
+        out[:, 0] = _MINUS
+    if k >= 0:
+        out[:, s:s + k + 1] = digits[:, :k + 1]
+        out[:, s + k + 1] = _POINT
+        out[:, s + k + 2:s + 18] = digits[:, k + 1:]
+    else:
+        out[:, s:s - k + 1] = _ZERO
+        out[:, s + 1] = _POINT
+        out[:, s - k + 1:s - k + 18] = digits
+
+
+def _fmt17_into(x, out):
+    """Write ``_fmt17`` of each float64 in ``x`` into the leading bytes of
+    the same row of the uint8 matrix ``out`` (24 columns or more), as ASCII,
+    and return the text lengths.  Bytes past a cell's length are left as
+    they are."""
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    rows = np.flatnonzero(fixed)
+    d, k = _digits17(a[rows])
+    neg = np.signbit(x[rows])
+
+    # D as five groups of four digits, the first of them 000d
+    hi = d // 10 ** 8
+    lo = d - hi * 10 ** 8
+    hi, lo = hi.astype(np.uint32), lo.astype(np.uint32)
+    quads = np.empty((len(rows), 5), dtype=np.intp)
+    quads[:, 0] = hi // np.uint32(10 ** 8)
+    quads[:, 1] = hi // np.uint32(10 ** 4) % np.uint32(10 ** 4)
+    quads[:, 2] = hi % np.uint32(10 ** 4)
+    quads[:, 3] = lo // np.uint32(10 ** 4)
+    quads[:, 4] = lo % np.uint32(10 ** 4)
+    quad_ascii, quad_zeros = _quad_tables()
+    digits = quad_ascii[quads].view(np.uint8)[:, 3:]
+    # significant digits once trailing zeros are stripped; the first is not 0
+    tz = quad_zeros[quads]
+    strip = tz[:, 4]
+    for j in (3, 2, 1):
+        strip = strip + (strip == 4 * (4 - j)) * tz[:, j]
+    nd = 17 - strip
+    lengths = np.empty(len(x), dtype=np.intp)
+    lengths[rows] = neg + np.where(
+        k >= 0, np.where(nd > k + 1, nd + 1, k + 1), 1 - k + nd)
+
+    group = (k + 4) * 2 + neg  # (exponent, sign): at most 42 layouts
+    if len(rows) == len(x) and len(rows) and group.min() == group.max():
+        _place(digits, int(k[0]), neg[0], out)
+    else:
+        for g in np.flatnonzero(np.bincount(group)):
+            sel = np.flatnonzero(group == g)
+            block = np.empty((len(sel), _CELL_WIDTH), dtype=np.uint8)
+            _place(digits[sel], g // 2 - 4, g % 2, block)
+            out[rows[sel], :_CELL_WIDTH] = block
+
+    for i in np.flatnonzero(~fixed).tolist():
+        text = format(float(x[i]), ".17g").encode("ascii")
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        lengths[i] = len(text)
+    return lengths
 
 
 def _json_value(obj):
@@ -119,10 +267,14 @@ def _load_graph(path):
         return parse_lig(fh.read())
 
 
-def _write(path, text, force):
-    """Write ``text``, a string or an iterable of strings, to ``path``."""
+def _refuse_overwrite(path, force):
     if os.path.exists(path) and not force:
         raise MedgraphError(f"refusing to overwrite {path}; pass --force")
+
+
+def _write(path, text, force):
+    """Write ``text``, a string or an iterable of strings, to ``path``."""
+    _refuse_overwrite(path, force)
     with open(path, "w") as fh:
         if isinstance(text, str):
             fh.write(text)
@@ -226,21 +378,12 @@ def cmd_estimate(args):
         ds = dataclasses.replace(ds, covariates=cols,
                                  covariate_names=tuple(keep))
     result = sv.estimate_effects(ds)
-
-    os.makedirs(args.out, exist_ok=True)
-    fit_out = _envelope(seed, [args.data])
-    fit_out["gamma"] = list(result.fit.coef)
-    fit_out["covariates"] = list(ds.covariate_names)
-    fit_out["loglik"] = result.fit.loglik
-    fit_out["iterations"] = result.fit.iterations
-    fit_out["grad_norm"] = result.fit.grad_norm
-    fit_out["data_summary"] = ds.summary()
-    _write(os.path.join(args.out, "fit.json"), dumps(fit_out), args.force)
-
-    rho = result.rho_hat
-    _write(os.path.join(args.out, "rho.csv"),
-           _float_csv("t,rho_hat", [rho.times, rho.values]), args.force)
-
+    # every check before the first file is written, so a failed run leaves
+    # no output behind
+    paths = {name: os.path.join(args.out, name)
+             for name in ("fit.json", "rho.csv", "effects.csv")}
+    for path in paths.values():
+        _refuse_overwrite(path, args.force)
     cv = result.curves
     header = "t,SDE,SIE,total"
     cols = [cv.times, cv.sde, cv.sie, cv.total]
@@ -250,8 +393,20 @@ def cmd_estimate(args):
             args.boot, seed, grid=cv.times)
         header += ",rho_lower,rho_upper"
         cols += [bands.lower, bands.upper]
-    _write(os.path.join(args.out, "effects.csv"), _float_csv(header, cols),
-           args.force)
+
+    fit_out = _envelope(seed, [args.data])
+    fit_out["gamma"] = list(result.fit.coef)
+    fit_out["covariates"] = list(ds.covariate_names)
+    fit_out["loglik"] = result.fit.loglik
+    fit_out["iterations"] = result.fit.iterations
+    fit_out["grad_norm"] = result.fit.grad_norm
+    fit_out["data_summary"] = ds.summary()
+    rho = result.rho_hat
+    os.makedirs(args.out, exist_ok=True)
+    _write(paths["fit.json"], dumps(fit_out), args.force)
+    _write(paths["rho.csv"],
+           _float_csv("t,rho_hat", [rho.times, rho.values]), args.force)
+    _write(paths["effects.csv"], _float_csv(header, cols), args.force)
     sys.stdout.write(dumps({"out": args.out,
                             "subjects": ds.n_subjects,
                             "events": ds.n_events}))
@@ -260,29 +415,51 @@ def cmd_estimate(args):
 
 def _float_csv(header, columns):
     """CSV text of float columns under ``header``, every value formatted
-    as ``_fmt17`` does, with one ``%`` format per chunk of rows."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    as ``_fmt17`` does.  A chunk of rows is one byte matrix, a row per cell:
+    its text from ``_fmt17_into``, then a comma or newline.  The bytes in
+    use are compressed out and decoded once."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    width = len(columns)
     parts = [header + "\n"]
     for lo in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
-        rows = np.column_stack([c[lo:lo + WRITE_CHUNK_ROWS] for c in columns])
-        parts.append(line * len(rows) % tuple(rows.ravel().tolist()))
+        cells = np.column_stack(
+            [c[lo:lo + WRITE_CHUNK_ROWS] for c in columns]).ravel()
+        line = np.empty((len(cells), _CELL_WIDTH + 1), dtype=np.uint8)
+        keep = _CELL_KEEP[_fmt17_into(cells, line)]
+        line[:, -1] = ord(",")
+        line[width - 1::width, -1] = ord("\n")
+        parts.append(line[keep].tobytes().decode("ascii"))
     return "".join(parts)
 
 
 def _event_lines(stream, names):
     """The ``events.csv`` text in chunks of rows, so the whole file is never
-    held as strings at once; times are formatted as ``_fmt17`` does.  Each
-    chunk is one ``%`` format of its times interleaved with their process
-    names, which are arguments, so a ``%`` in a name is written as is."""
-    chunk = WRITE_CHUNK_ROWS
+    held as strings at once; times are formatted as ``_fmt17`` does and
+    names as ``str``.  A chunk is one byte matrix, a row per event: the
+    time's text from ``_fmt17_into``, a comma, then the UTF-8 of the name
+    and a newline, taken from a table by process index.  The bytes in use
+    are compressed out and decoded once."""
+    labels = [str(name).encode("utf-8", "surrogatepass") + b"\n"
+              for name in names]
+    label_width = max(map(len, labels), default=1)
+    table = np.zeros((len(labels), label_width), dtype=np.uint8)
+    for i, label in enumerate(labels):
+        table[i, :len(label)] = np.frombuffer(label, dtype=np.uint8)
+    table_keep = (np.arange(label_width)
+                  < np.array([len(b) for b in labels], dtype=np.intp)[:, None])
     yield "time,process\n"
-    for lo in range(0, len(stream), chunk):
-        times = stream.times[lo:lo + chunk].tolist()
-        cells = [None] * (2 * len(times))
-        cells[::2] = times
-        cells[1::2] = [names[p] for p in stream.procs[lo:lo + chunk].tolist()]
-        yield "%.17g,%s\n" * len(times) % tuple(cells)
+    for lo in range(0, len(stream), WRITE_CHUNK_ROWS):
+        times = stream.times[lo:lo + WRITE_CHUNK_ROWS]
+        procs = stream.procs[lo:lo + WRITE_CHUNK_ROWS]
+        line = np.empty((len(times), _CELL_WIDTH + 1 + label_width),
+                        dtype=np.uint8)
+        keep = np.empty(line.shape, dtype=bool)
+        keep[:, :_CELL_WIDTH + 1] = _CELL_KEEP[
+            _fmt17_into(np.asarray(times, dtype=np.float64), line)]
+        line[:, _CELL_WIDTH] = ord(",")
+        line[:, _CELL_WIDTH + 1:] = table[procs]
+        keep[:, _CELL_WIDTH + 1:] = table_keep[procs]
+        yield line[keep].tobytes().decode("utf-8", "surrogatepass")
 
 
 def cmd_hawkes(args):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medgraph.cli import main
 from medgraph.hawkes import model_to_dict, random_fig7_model
@@ -732,3 +734,177 @@ def test_sizes_over_budget_are_refused_before_the_work(argv, plain_file,
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"]["code"] == "SizeError"
     assert proc.stdout == ""
+
+
+# -- CSV floats as bytes: the vectorized %.17g text ----------------------------------
+
+
+def _per_cell_csv(header, columns):
+    return header + "\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for row in zip(*columns))
+
+
+def _ulp_neighbours(x, n):
+    """The n doubles on each side of x, and x."""
+    below = [x]
+    above = [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def _edge_floats():
+    ties = [12345678901234.0625, 12345678901234.1875,  # 17th digit even, odd
+            98765432109876.5, 1.0000000000000000555, 0.30000000000000004]
+    powers = [v for e in range(-5, 18)
+              for v in _ulp_neighbours(float(f"1e{e}"), 50)]
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               9.999999999999999e16, 9.9999999999999984e16, 2.0 ** 53,
+               2.0 ** 53 + 2, 9.9999999999999991e-05]
+    return np.array(ties + powers + special, dtype=np.float64)
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_float_csv_edge_values_match_the_per_cell_format(chunk, monkeypatch):
+    from medgraph import cli
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", chunk)
+    x = _edge_floats()
+    # one column as is, one with mixed signs: within a chunk, cells of both
+    # kinds (vectorized and formatted one by one) and of many layouts
+    signs = np.where(np.arange(len(x)) % 3 == 0, -1.0, 1.0)
+    cols = [x, x[::-1] * signs]
+    assert cli._float_csv("a,b", cols) == _per_cell_csv("a,b", cols)
+
+
+@pytest.mark.parametrize("bias", [-0.5, 0.5])
+def test_float_csv_does_not_rely_on_the_first_exponent_guess(bias,
+                                                             monkeypatch):
+    # a log10 that is off by about half a decade misjudges the exponent of
+    # half the values, the powers of ten among them, by one either way
+    from medgraph import cli
+    log10 = np.log10
+    monkeypatch.setattr(cli.np, "log10", lambda a: log10(a) + bias)
+    x = _edge_floats()
+    assert cli._float_csv("a", [x]) == _per_cell_csv("a", [x])
+
+
+def test_float_csv_single_layout_chunk_with_one_fallback_cell(monkeypatch):
+    from medgraph import cli
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 8)
+    rng = np.random.default_rng(13)
+    col = np.sort(rng.uniform(1e4, 1e5, 40))
+    col[[5, 17, 30]] = [0.0, np.nan, 3e-6]
+    assert cli._float_csv("t", [col]) == _per_cell_csv("t", [col])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True,
+                                    allow_subnormal=True),
+                          st.floats(width=32)), max_size=40),
+       st.integers(1, 7))
+def test_float_csv_of_any_floats_matches_the_per_cell_format(rows, chunk):
+    from unittest import mock
+
+    from medgraph import cli
+    cols = [np.array([r[j] for r in rows], dtype=np.float64) for j in (0, 1)]
+    with mock.patch.object(cli, "WRITE_CHUNK_ROWS", chunk):
+        assert cli._float_csv("x,y", cols) == _per_cell_csv("x,y", cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, (1 << 64) - 1), max_size=60))
+def test_float_csv_of_any_bit_pattern_matches_the_per_cell_format(bits):
+    from medgraph import cli
+    col = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert cli._float_csv("x", [col]) == _per_cell_csv("x", [col])
+
+
+def _events_text(stream, names):
+    return "time,process\n" + "".join(
+        f"{format(float(t), '.17g')},{names[p]}\n"
+        for t, p in zip(stream.times.tolist(), stream.procs.tolist()))
+
+
+def test_event_lines_with_non_ascii_and_empty_names():
+    # over 65 536 events, so the text spans more than one chunk
+    from medgraph import cli
+    from medgraph.hawkes import model_from_dict, simulate
+    model = model_from_dict({
+        "mu": [300.0, 300.0, 200.0], "branching": [[0.0] * 3] * 3,
+        "decay": [[1.0] * 3] * 3, "names": ["Ä", "名", ""]})
+    stream = simulate(model, 100.0, 2)
+    assert len(stream) > 1 << 16
+    assert set(stream.procs.tolist()) == {0, 1, 2}
+    text = "".join(cli._event_lines(stream, model.names))
+    assert text == _events_text(stream, model.names)
+
+
+def test_hawkes_with_no_events_writes_the_header_only(tmp_path, capsys):
+    from medgraph import cli
+    from medgraph.hawkes import model_from_dict, simulate
+    model = {"mu": [0.0, 0.0], "branching": [[0.0, 0.1], [0.2, 0.0]],
+             "decay": [[1.0, 1.0], [1.0, 1.0]], "names": ["A", "B"]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out_dir = tmp_path / "hk"
+    assert main(["hawkes", "--model", str(path), "--simulate", "50",
+                 "--out", str(out_dir)]) == 0
+    assert _json_out(capsys)["events"] == 0
+    assert (out_dir / "events.csv").read_text() == "time,process\n"
+    stream = simulate(model_from_dict(model), 50.0, 0)
+    assert "".join(cli._event_lines(stream, ("A", "B"))) == "time,process\n"
+
+
+# -- a failed estimate writes no output file -----------------------------------------
+
+
+def _small_csv(tmp_path):
+    path = tmp_path / "small.csv"
+    path.write_text("id,start,stop,event,treatment,m\n" + "".join(
+        f"{i},0,{1 + i % 5},{i % 2},{i % 3 % 2},{i % 7 / 7}\n"
+        for i in range(60)))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_estimate_boot_over_budget_writes_no_file(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    assert main(["estimate", "--data", _small_csv(tmp_path), "--out",
+                 str(out_dir), "--boot", "100000000"]) == 1
+    assert _single_error(capsys)["code"] == "SizeError"
+    assert not out_dir.exists() or not list(out_dir.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_estimate_with_too_many_dropped_replicates_writes_no_file(tmp_path,
+                                                                  capsys):
+    # one group-0 event among 40 subjects: about a third of the replicates
+    # draw no group-0 event and are dropped, more than the 20 % allowed
+    path = tmp_path / "drop.csv"
+    path.write_text("id,start,stop,event,treatment,m\n" + "".join(
+        f"{i},0,{1 + i * 7 % 5 + i / 100},"
+        f"{int(i == 0 or i % 4 == 1)},{i % 2},{i * 3 % 7 / 7}\n"
+        for i in range(40)))
+    out_dir = tmp_path / "res"
+    assert main(["estimate", "--data", str(path), "--out", str(out_dir),
+                 "--boot", "50"]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "EstimationError"
+    assert "bootstrap replicates failed" in error["message"]
+    assert not out_dir.exists() or not list(out_dir.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("existing", ["fit.json", "rho.csv", "effects.csv"])
+def test_estimate_refuses_before_writing_any_file(existing, tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    out_dir.mkdir()
+    (out_dir / existing).write_text("kept\n")
+    assert main(["estimate", "--data", _small_csv(tmp_path), "--out",
+                 str(out_dir)]) == 1
+    assert existing in _single_error(capsys)["message"]
+    assert [p.name for p in out_dir.iterdir()] == [existing]
+    assert (out_dir / existing).read_text() == "kept\n"
