@@ -194,6 +194,52 @@ def _fmt17_into(x, out):
     return lengths
 
 
+def _csv_text(header, columns, names=None, index=None):
+    """CSV text in chunks of rows: the float ``columns`` formatted as
+    ``_fmt17`` does, then, with ``names``, the ``str`` of ``names[index]``.
+    A chunk is one byte matrix, a row per line: each float's text from
+    ``_fmt17_into`` in its own slice, then a comma, and at the end the
+    name's UTF-8 and a newline from a table, or a newline in place of the
+    last comma.  The bytes in use are compressed out and decoded once."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    labels = [str(name).encode("utf-8", "surrogatepass") + b"\n"
+              for name in names or ()]
+    label_width = max(map(len, labels), default=0)
+    table = np.zeros((len(labels), label_width), dtype=np.uint8)
+    for i, label in enumerate(labels):
+        table[i, :len(label)] = np.frombuffer(label, dtype=np.uint8)
+    table_keep = (np.arange(label_width)
+                  < np.array([len(b) for b in labels], dtype=np.intp)[:, None])
+    cell = _CELL_WIDTH + 1
+    floats = len(columns) * cell
+    yield header + "\n"
+    for lo in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
+        chunk = [c[lo:lo + WRITE_CHUNK_ROWS] for c in columns]
+        line = np.empty((len(chunk[0]), floats + label_width), dtype=np.uint8)
+        keep = np.empty(line.shape, dtype=bool)
+        for j, c in enumerate(chunk):
+            at = slice(j * cell, (j + 1) * cell)
+            keep[:, at] = _CELL_KEEP[_fmt17_into(c, line[:, at])]
+        line[:, _CELL_WIDTH:floats:cell] = ord(",")
+        if names is None:
+            line[:, floats - 1] = ord("\n")
+        else:
+            rows = index[lo:lo + WRITE_CHUNK_ROWS]
+            line[:, floats:] = table[rows]
+            keep[:, floats:] = table_keep[rows]
+        yield line[keep].tobytes().decode("utf-8", "surrogatepass")
+
+
+def _float_csv(header, columns):
+    """The CSV text of float ``columns`` under ``header``, as one string."""
+    return "".join(_csv_text(header, columns))
+
+
+def _event_lines(stream, names):
+    """The ``events.csv`` text of ``stream``, in chunks."""
+    return _csv_text("time,process", [stream.times], names, stream.procs)
+
+
 def _json_value(obj):
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_json_value(v)}"
@@ -267,19 +313,25 @@ def _load_graph(path):
         return parse_lig(fh.read())
 
 
-def _refuse_overwrite(path, force):
-    if os.path.exists(path) and not force:
-        raise MedgraphError(f"refusing to overwrite {path}; pass --force")
+def _outputs(directory, names, force):
+    """Refuse, before any work, to overwrite the files ``names`` in
+    ``directory`` unless ``force``.  Returns ``write(*texts)``, called once
+    every result is computed: it creates ``directory`` and writes each
+    text, a string or an iterable of strings, to its file.  So a failed run
+    leaves no output behind."""
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        raise UsageError(f"{directory} is not a directory")
+    paths = [os.path.join(directory, name) for name in names]
+    for path in paths:
+        if os.path.exists(path) and not force:
+            raise MedgraphError(f"refusing to overwrite {path}; pass --force")
 
-
-def _write(path, text, force):
-    """Write ``text``, a string or an iterable of strings, to ``path``."""
-    _refuse_overwrite(path, force)
-    with open(path, "w") as fh:
-        if isinstance(text, str):
-            fh.write(text)
-        else:
-            fh.writelines(text)
+    def write(*texts):
+        for path, text in zip(paths, texts, strict=True):
+            os.makedirs(directory or os.curdir, exist_ok=True)
+            with open(path, "w") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+    return write
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -323,12 +375,13 @@ def cmd_sep(args):
 
 
 def cmd_unroll(args):
-    spec = _load_graph(args.graph)
-    text = format_unrolled_lig(unroll(spec.graph, args.lags))
     if args.out:
-        _write(args.out, text, args.force)
+        directory, name = os.path.split(args.out)
+        write = _outputs(directory, [name], args.force)
     else:
-        sys.stdout.write(text)
+        write = sys.stdout.write
+    spec = _load_graph(args.graph)
+    write(format_unrolled_lig(unroll(spec.graph, args.lags)))
     return EXIT_OK
 
 
@@ -365,6 +418,8 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     from . import survival as sv
     seed = _resolve_seed(args)
+    write = _outputs(args.out, ["fit.json", "rho.csv", "effects.csv"],
+                     args.force)
     columns = {"id": args.id_col, "start": args.start_col,
                "stop": args.stop_col, "event": args.event_col,
                "treatment": args.treatment_col,
@@ -378,12 +433,6 @@ def cmd_estimate(args):
         ds = dataclasses.replace(ds, covariates=cols,
                                  covariate_names=tuple(keep))
     result = sv.estimate_effects(ds)
-    # every check before the first file is written, so a failed run leaves
-    # no output behind
-    paths = {name: os.path.join(args.out, name)
-             for name in ("fit.json", "rho.csv", "effects.csv")}
-    for path in paths.values():
-        _refuse_overwrite(path, args.force)
     cv = result.curves
     header = "t,SDE,SIE,total"
     cols = [cv.times, cv.sde, cv.sie, cv.total]
@@ -402,80 +451,28 @@ def cmd_estimate(args):
     fit_out["grad_norm"] = result.fit.grad_norm
     fit_out["data_summary"] = ds.summary()
     rho = result.rho_hat
-    os.makedirs(args.out, exist_ok=True)
-    _write(paths["fit.json"], dumps(fit_out), args.force)
-    _write(paths["rho.csv"],
-           _float_csv("t,rho_hat", [rho.times, rho.values]), args.force)
-    _write(paths["effects.csv"], _float_csv(header, cols), args.force)
+    write(dumps(fit_out), _float_csv("t,rho_hat", [rho.times, rho.values]),
+          _float_csv(header, cols))
     sys.stdout.write(dumps({"out": args.out,
                             "subjects": ds.n_subjects,
                             "events": ds.n_events}))
     return EXIT_OK
 
 
-def _float_csv(header, columns):
-    """CSV text of float columns under ``header``, every value formatted
-    as ``_fmt17`` does.  A chunk of rows is one byte matrix, a row per cell:
-    its text from ``_fmt17_into``, then a comma or newline.  The bytes in
-    use are compressed out and decoded once."""
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    width = len(columns)
-    parts = [header + "\n"]
-    for lo in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
-        cells = np.column_stack(
-            [c[lo:lo + WRITE_CHUNK_ROWS] for c in columns]).ravel()
-        line = np.empty((len(cells), _CELL_WIDTH + 1), dtype=np.uint8)
-        keep = _CELL_KEEP[_fmt17_into(cells, line)]
-        line[:, -1] = ord(",")
-        line[width - 1::width, -1] = ord("\n")
-        parts.append(line[keep].tobytes().decode("ascii"))
-    return "".join(parts)
-
-
-def _event_lines(stream, names):
-    """The ``events.csv`` text in chunks of rows, so the whole file is never
-    held as strings at once; times are formatted as ``_fmt17`` does and
-    names as ``str``.  A chunk is one byte matrix, a row per event: the
-    time's text from ``_fmt17_into``, a comma, then the UTF-8 of the name
-    and a newline, taken from a table by process index.  The bytes in use
-    are compressed out and decoded once."""
-    labels = [str(name).encode("utf-8", "surrogatepass") + b"\n"
-              for name in names]
-    label_width = max(map(len, labels), default=1)
-    table = np.zeros((len(labels), label_width), dtype=np.uint8)
-    for i, label in enumerate(labels):
-        table[i, :len(label)] = np.frombuffer(label, dtype=np.uint8)
-    table_keep = (np.arange(label_width)
-                  < np.array([len(b) for b in labels], dtype=np.intp)[:, None])
-    yield "time,process\n"
-    for lo in range(0, len(stream), WRITE_CHUNK_ROWS):
-        times = stream.times[lo:lo + WRITE_CHUNK_ROWS]
-        procs = stream.procs[lo:lo + WRITE_CHUNK_ROWS]
-        line = np.empty((len(times), _CELL_WIDTH + 1 + label_width),
-                        dtype=np.uint8)
-        keep = np.empty(line.shape, dtype=bool)
-        keep[:, :_CELL_WIDTH + 1] = _CELL_KEEP[
-            _fmt17_into(np.asarray(times, dtype=np.float64), line)]
-        line[:, _CELL_WIDTH] = ord(",")
-        line[:, _CELL_WIDTH + 1:] = table[procs]
-        keep[:, _CELL_WIDTH + 1:] = table_keep[procs]
-        yield line[keep].tobytes().decode("utf-8", "surrogatepass")
-
-
 def cmd_hawkes(args):
     from . import hawkes as hk
     seed = _resolve_seed(args)
+    simulate = args.simulate is not None
+    write = _outputs(args.out, ["events.csv"] * simulate
+                     + ["identify.json"] * args.identify, args.force)
     model = hk.model_from_dict(_load_json(args.model))
-    os.makedirs(args.out, exist_ok=True)
-    artifacts = {}
-    stream = None
-    if args.simulate:
+    texts, artifacts = [], {}
+    if simulate:
         stream = hk.simulate(model, args.simulate, seed)
-        _write(os.path.join(args.out, "events.csv"),
-               _event_lines(stream, model.names), args.force)
+        texts.append(_event_lines(stream, model.names))
         artifacts["events"] = len(stream)
     if args.identify:
-        if stream is not None:
+        if simulate:
             lag = hk.default_max_lag(model, args.bin_width)
             cov = hk.integrated_cov_empirical(stream, args.bin_width, lag)
             obs = list(model.observed)
@@ -487,10 +484,11 @@ def cmd_hawkes(args):
             rtol = 1e-6
         res = hk.identify(cov, structure_rtol=rtol)
         out = _envelope(seed, [args.model])
-        out["source"] = "empirical" if stream is not None else "exact"
+        out["source"] = "empirical" if simulate else "exact"
         out["identified"] = res.as_dict()
-        _write(os.path.join(args.out, "identify.json"), dumps(out), args.force)
+        texts.append(dumps(out))
         artifacts["identify"] = res.as_dict()
+    write(*texts)
     sys.stdout.write(dumps({"out": args.out, **artifacts}))
     return EXIT_OK
 

@@ -729,7 +729,6 @@ class EffectCurves:
     sde: np.ndarray
     sie: np.ndarray
     total: np.ndarray
-    bands: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # a diverged fit gives SDE = inf and total = 0, whose product NaN
@@ -929,7 +928,8 @@ class SimulationConfig:
     treated_fraction: float = 0.5
 
     def __post_init__(self):
-        if len(self.psi_times) != len(self.psi_values) or self.psi_times[0] != 0.0:
+        if (not self.psi_times or len(self.psi_times) != len(self.psi_values)
+                or self.psi_times[0] != 0.0):
             raise ConfigurationError("psi breakpoints must start at 0 and "
                                      "match the value list")
         if self.horizon <= 0:

@@ -908,3 +908,111 @@ def test_estimate_refuses_before_writing_any_file(existing, tmp_path, capsys):
     assert existing in _single_error(capsys)["message"]
     assert [p.name for p in out_dir.iterdir()] == [existing]
     assert (out_dir / existing).read_text() == "kept\n"
+
+
+# -- one write policy: refuse before the work, write after it ------------------------
+
+
+def _tree(root):
+    return sorted((str(p.relative_to(root)),
+                   p.read_bytes() if p.is_file() else None)
+                  for p in root.rglob("*"))
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before the refusal")
+
+
+@pytest.mark.parametrize("case", ["lag-sum-budget", "simulate-1e9",
+                                  "existing-identify", "existing-unroll"])
+def test_failed_or_refused_run_leaves_out_as_it_was(case, hawkes_file,
+                                                    plain_file, tmp_path,
+                                                    monkeypatch, capsys):
+    from medgraph import cli, hawkes
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "out"
+    hk = ["hawkes", "--model", hawkes_file, "--out", str(out)]
+    if case == "lag-sum-budget":
+        argv, code = hk + ["--simulate", "200", "--identify",
+                           "--bin-width", "1e-4"], "SizeError"
+    elif case == "simulate-1e9":
+        argv, code = hk + ["--simulate", "1e9"], "SizeError"
+    elif case == "existing-identify":
+        out.mkdir()
+        (out / "identify.json").write_text("kept\n")
+        monkeypatch.setattr(hawkes, "simulate", _must_not_run)
+        argv, code = hk + ["--simulate", "50", "--identify"], "MedgraphError"
+    else:
+        out.write_text("kept\n")
+        monkeypatch.setattr(cli, "unroll", _must_not_run)
+        argv = ["unroll", plain_file, "--lags", "2", "--out", str(out)]
+        code = "MedgraphError"
+    before = _tree(work)
+    assert main(argv) == 1
+    error = _single_error(capsys)
+    assert error["code"] == code
+    if code == "MedgraphError":
+        assert "--force" in error["message"]
+    assert _tree(work) == before
+
+
+def test_hawkes_simulate_zero_is_a_domain_error(hawkes_file, tmp_path, capsys):
+    # 0 is a given end time, not a missing one: it does not fall back to
+    # the exact identification
+    out_dir = tmp_path / "hk"
+    assert main(["hawkes", "--model", hawkes_file, "--simulate", "0",
+                 "--identify", "--out", str(out_dir)]) == 1
+    assert _single_error(capsys)["code"] == "ConfigurationError"
+    assert not out_dir.exists()
+
+
+def test_hawkes_without_outputs_creates_no_directory(hawkes_file, tmp_path,
+                                                     capsys):
+    out_dir = tmp_path / "hk"
+    assert main(["hawkes", "--model", hawkes_file, "--out", str(out_dir)]) == 0
+    assert _json_out(capsys) == {"out": str(out_dir)}
+    assert not out_dir.exists()
+
+
+def test_estimate_refuses_before_reading_the_data(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    out_dir.mkdir()
+    (out_dir / "rho.csv").write_text("kept\n")
+    assert main(["estimate", "--data", str(tmp_path / "missing.csv"),
+                 "--out", str(out_dir)]) == 1
+    assert "refusing to overwrite" in _single_error(capsys)["message"]
+    assert (out_dir / "rho.csv").read_text() == "kept\n"
+
+
+def test_hawkes_writes_events_after_identification(hawkes_file, tmp_path,
+                                                   monkeypatch, capsys):
+    from medgraph import hawkes
+    out_dir = tmp_path / "hk"
+    seen = []
+    identify = hawkes.identify
+
+    def looking(*args, **kwargs):
+        seen.append(out_dir.exists())
+        return identify(*args, **kwargs)
+
+    monkeypatch.setattr(hawkes, "identify", looking)
+    assert main(["hawkes", "--model", hawkes_file, "--simulate", "300",
+                 "--identify", "--out", str(out_dir), "--seed", "4"]) == 0
+    assert seen == [False]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["events.csv",
+                                                         "identify.json"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "hawkes"])
+def test_out_that_is_a_file_is_a_usage_error(command, survival_csv,
+                                             hawkes_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    if command == "estimate":
+        argv = ["estimate", "--data", survival_csv]
+    else:
+        argv = ["hawkes", "--model", hawkes_file, "--identify"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert _single_error(capsys)["message"] == f"{out} is not a directory"
+    assert out.read_text() == "kept\n"

@@ -1101,3 +1101,9 @@ def test_ingest_csv_one_column_file_skips_blank_lines(tmp_path):
     with pytest.raises(DataError) as got:
         ingest_csv(p, columns)
     assert str(got.value) == str(want.value)
+
+
+def test_simulation_config_without_psi_breakpoints_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="psi breakpoints"):
+        SimulationConfig(n_subjects=10, rho=0.1, gamma=0.2,
+                         psi_times=(), psi_values=())
