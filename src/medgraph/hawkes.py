@@ -69,6 +69,12 @@ class HawkesModel:
             raise ConfigurationError("names length does not match dimension")
         if not self.observed:
             object.__setattr__(self, "observed", tuple(range(n)))
+        obs = self.observed
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   and 0 <= i < n for i in obs) or len(set(obs)) != len(obs):
+            raise ConfigurationError(
+                f"observed must be distinct process indices in 0..{n - 1}, "
+                f"got {list(obs)}")
 
     @property
     def dimension(self):

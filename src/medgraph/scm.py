@@ -33,9 +33,16 @@ CI_TOL = 1e-12
 TREATMENT = "A"
 TREATMENT_DIRECT = "AD"
 TREATMENT_MEDIATED = "AM"
+# the one ``separated`` field a model file may hold
+_SEPARATED = {"direct": TREATMENT_DIRECT, "mediated": TREATMENT_MEDIATED}
+_OTHER_COMPONENT = {TREATMENT_DIRECT: TREATMENT_MEDIATED,
+                   TREATMENT_MEDIATED: TREATMENT_DIRECT}
 
 VIOLATIONS = ("direct_to_mediator", "mediated_to_survival",
               "mediated_to_covariate", "latent_confounding")
+# the factor kind a violation also hands the other treatment component
+_CROSSED_KIND = {"direct_to_mediator": "M", "mediated_to_survival": "S",
+                "mediated_to_covariate": "C"}
 
 
 def mediator_name(i):
@@ -48,6 +55,22 @@ def covariate_name(i):
 
 def survival_name(i):
     return f"S{i}"
+
+
+def _factors(t_index):
+    """Each factor of the separated model up to grid point ``t_index``, in
+    temporal order, as (i, variable, kind, component, history).  At grid
+    point i the mediator M_i (kind "M") listens to the mediated treatment
+    component, the covariate C_i ("C") and the survival indicator S_{i+1}
+    ("S") to the direct one; each also listens to its history, the
+    mediators and covariates before it in the order M_0, C_0, M_1, C_1, ..."""
+    history = ()
+    for i in range(t_index):
+        m, c = mediator_name(i), covariate_name(i)
+        yield i, m, "M", TREATMENT_MEDIATED, history
+        yield i, c, "C", TREATMENT_DIRECT, history + (m,)
+        history += (m, c)
+        yield i, survival_name(i + 1), "S", TREATMENT_DIRECT, history
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,22 +167,18 @@ class DiscreteScm:
 @dataclass(frozen=True, eq=False)
 class SeparatedScm(DiscreteScm):
     """Model with the treatment split into two independent root components:
-    one driving survival and covariates, one driving mediators."""
-
-    treatment_direct: str = TREATMENT_DIRECT
-    treatment_mediated: str = TREATMENT_MEDIATED
+    ``AD`` driving survival and covariates, ``AM`` driving mediators."""
 
     def __post_init__(self):
         super().__post_init__()
-        for name in (self.treatment_direct, self.treatment_mediated):
+        for name in (TREATMENT_DIRECT, TREATMENT_MEDIATED):
             if self.var(name).parents:
                 raise ConfigurationError(f"treatment component {name!r} must be a root")
 
     @cached_property
     def _treatment_free(self):
         """Product of every CPT but the two treatment components'."""
-        return _cpt_product(self, (self.treatment_direct,
-                                   self.treatment_mediated))
+        return _cpt_product(self, (TREATMENT_DIRECT, TREATMENT_MEDIATED))
 
 
 # -- joint tables -----------------------------------------------------------
@@ -299,7 +318,7 @@ def interventional_survival(sep_scm: SeparatedScm, a, a_star, t_index) -> float:
     adds the cells in the same order and the result keeps its last bit.
     """
     _check_t_index(sep_scm, t_index)
-    fixed = {sep_scm.treatment_direct: a, sep_scm.treatment_mediated: a_star}
+    fixed = {TREATMENT_DIRECT: a, TREATMENT_MEDIATED: a_star}
     points = {v.name: np.eye(len(v.states))[v.state_index(fixed[v.name])]
               for v in sep_scm.variables if v.name in fixed}
     _check_cells(sep_scm)
@@ -330,7 +349,7 @@ def _factor(table: JointTable, given, history, target, values, strict):
     normalized over all target states (NA included).  Entries whose
     conditioning event has probability zero are 0, or raise in strict mode.
     """
-    m = table.condition(given).marginal(history + [target])
+    m = table.condition(given).marginal([*history, target])
     probs = m.probs[np.ix_(*[_pick(m, n, (0, 1)) for n in history],
                            range(len(m.states[-1])))]
     denom = probs.sum(axis=-1, keepdims=True)
@@ -348,25 +367,22 @@ def mediational_g_formula(obs_scm: DiscreteScm, a, a_star, t_index,
     joint: survival and covariate factors are conditioned on treatment ``a``,
     mediator factors on ``a_star``.
 
-    Each of the 3j factors is one array over its 0/1 history on the axis
-    order M0, C0, M1, C1, ...; the formula sums their product over all 0/1
-    histories.  Histories whose conditioning event has probability zero
-    contribute 0; in strict mode they raise instead.
+    Each of the 3j factors of :func:`_factors` is one array over its 0/1
+    history on the axis order M0, C0, M1, C1, ...; the formula sums their
+    product over all 0/1 histories.  Histories whose conditioning event has
+    probability zero contribute 0; in strict mode they raise instead.
     """
     _check_t_index(obs_scm, t_index)
     table = joint(obs_scm)
-    order = [n for i in range(t_index) for n in (mediator_name(i), covariate_name(i))]
     # one spare trailing axis takes the last survival factor's target axis
     rank = 2 * t_index + 1
     product = np.ones(())
-    for i in range(t_index):
-        alive = {survival_name(i): 1} if i else {}
-        steps = ((a_star, order[2 * i], (0, 1)), (a, order[2 * i + 1], (0, 1)),
-                 (a, survival_name(i + 1), (1,)))
-        for n, (arm, target, values) in enumerate(steps):
-            f = _factor(table, {TREATMENT: arm, **alive}, order[:2 * i + n],
-                        target, values, strict)
-            product = product * f.reshape(f.shape + (1,) * (rank - f.ndim))
+    for i, name, kind, component, history in _factors(t_index):
+        arm = a_star if component == TREATMENT_MEDIATED else a
+        given = {TREATMENT: arm, survival_name(i): 1} if i else {TREATMENT: arm}
+        f = _factor(table, given, history, name,
+                    (1,) if kind == "S" else (0, 1), strict)
+        product = product * f.reshape(f.shape + (1,) * (rank - f.ndim))
     return float(product.sum())
 
 
@@ -488,32 +504,23 @@ class ExactAssumptionReport:
 def verify_assumptions_exact(sep_scm: SeparatedScm) -> ExactAssumptionReport:
     """Brute-force conditional-independence tests of the three mediation
     assumptions on the separated joint (both treatment components randomized
-    as independent roots).  Latent variables are marginalized, never
-    conditioned on.  Zero-probability conditioning strata are skipped and
-    counted in the report.
+    as independent roots).  Each factor of :func:`_factors` is one test: its
+    variable is independent of the other component given its own component
+    and its history, and alive at the time (S_i = 1).  The mediators' tests
+    make A1, the covariates' A3 and the survival indicators' A2.  Latent
+    variables are marginalized, never conditioned on.  Zero-probability
+    conditioning strata are skipped and counted in the report.
     """
     table = joint(sep_scm)
-    ad, am = sep_scm.treatment_direct, sep_scm.treatment_mediated
-    a1 = a2 = a3 = True
+    holds = dict.fromkeys("MCS", True)
     skipped = 0
-    for i in range(sep_scm.grid):
-        hist = [mediator_name(j) for j in range(i)]
-        hist += [covariate_name(j) for j in range(i)]
-        t = table if i == 0 else table.condition({survival_name(i): 1})
+    for i, name, kind, component, history in _factors(sep_scm.grid):
+        t = table.condition({survival_name(i): 1}) if i else table
         ok, s = conditionally_independent(
-            t, [mediator_name(i)], [ad], [am] + hist)
-        a1 &= ok
+            t, [name], [_OTHER_COMPONENT[component]], [component, *history])
+        holds[kind] &= ok
         skipped += s
-        ok, s = conditionally_independent(
-            t, [covariate_name(i)], [am], [ad, mediator_name(i)] + hist)
-        a3 &= ok
-        skipped += s
-        ok, s = conditionally_independent(
-            t, [survival_name(i + 1)], [am],
-            [ad, mediator_name(i), covariate_name(i)] + hist)
-        a2 &= ok
-        skipped += s
-    return ExactAssumptionReport(a1, a2, a3, skipped)
+    return ExactAssumptionReport(holds["M"], holds["S"], holds["C"], skipped)
 
 
 # -- random model generators --------------------------------------------------
@@ -581,52 +588,28 @@ def random_separated_scm(k_max, seed, violation=None) -> SeparatedScm:
     latent = violation == "latent_confounding"
     if latent:
         add_random("U", (0, 1), ())
-
-    hist: list[str] = []
-    for i in range(k_max):
-        m, c = mediator_name(i), covariate_name(i)
-        s_now, s_next = survival_name(i), survival_name(i + 1)
-        alive = i >= 1
-
-        m_parents = [TREATMENT_MEDIATED] + hist
-        if violation == "direct_to_mediator":
-            m_parents.append(TREATMENT_DIRECT)
-        if latent:
-            m_parents.append("U")
-        if alive:
-            m_parents.append(s_now)
-            add_random(m, (0, 1, NA), m_parents, gate=s_now, absorb=NA)
-        else:
-            add_random(m, (0, 1), m_parents)
-
-        c_parents = [TREATMENT_DIRECT] + hist + [m]
-        if violation == "mediated_to_covariate":
-            c_parents.append(TREATMENT_MEDIATED)
-        if alive:
-            c_parents.append(s_now)
-            add_random(c, (0, 1, NA), c_parents, gate=s_now, absorb=NA)
-        else:
-            add_random(c, (0, 1), c_parents)
-
-        s_parents = [TREATMENT_DIRECT] + hist + [m, c]
-        if violation == "mediated_to_survival":
-            s_parents.append(TREATMENT_MEDIATED)
-        if latent:
-            s_parents.append("U")
-        if alive:
-            s_parents.append(s_now)
-            add_random(s_next, (0, 1), s_parents, gate=s_now, absorb=0)
-        else:
-            add_random(s_next, (0, 1), s_parents)
-        hist += [m, c]
-
+    for i, name, kind, component, history in _factors(k_max):
+        parents = [component, *history]
+        if _CROSSED_KIND.get(violation) == kind:
+            parents.append(_OTHER_COMPONENT[component])
+        if latent and kind != "C":
+            parents.append("U")
+        if not i:
+            add_random(name, (0, 1), parents)
+            continue
+        gate = survival_name(i)
+        parents.append(gate)
+        if kind == "S":  # death is absorbing
+            add_random(name, (0, 1), parents, gate=gate, absorb=0)
+        else:  # not measured after death
+            add_random(name, (0, 1, NA), parents, gate=gate, absorb=NA)
     return SeparatedScm(tuple(variables), grid=k_max)
 
 
 def to_observational(sep_scm: SeparatedScm) -> DiscreteScm:
     """Merge the two treatment components into a single randomized treatment
     (the event where both components agree)."""
-    ad, am = sep_scm.treatment_direct, sep_scm.treatment_mediated
+    ad, am = TREATMENT_DIRECT, TREATMENT_MEDIATED
     if sep_scm.var(ad).states != sep_scm.var(am).states:
         raise ConfigurationError("treatment components have different state spaces")
     new_vars = []
@@ -684,8 +667,7 @@ def scm_to_dict(scm: DiscreteScm) -> dict:
         "cpt": {v.name: v.cpt.tolist() for v in scm.variables},
     }
     if isinstance(scm, SeparatedScm):
-        d["separated"] = {"direct": scm.treatment_direct,
-                          "mediated": scm.treatment_mediated}
+        d["separated"] = dict(_SEPARATED)
     return d
 
 
@@ -703,10 +685,11 @@ def scm_from_dict(d: dict) -> DiscreteScm:
         )
         grid = int(d["grid"])
         sep = d.get("separated")
-        if sep:
-            return SeparatedScm(variables, grid=grid,
-                                treatment_direct=sep["direct"],
-                                treatment_mediated=sep["mediated"])
+        if sep is not None:
+            if sep != _SEPARATED:
+                raise ConfigurationError(
+                    f"separated must be {_SEPARATED}, got {sep!r}")
+            return SeparatedScm(variables, grid=grid)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed model specification: {exc}") from exc
     return DiscreteScm(variables, grid=grid)

@@ -994,10 +994,8 @@ def simulate_dataset(config: SimulationConfig, seed) -> SurvivalDataset:
 @dataclass(frozen=True, eq=False)
 class EstimationResult:
     fit: CoxFit
-    baseline: StepFunction
     rho_hat: StepFunction
     curves: EffectCurves
-    km: dict
 
 
 def estimate_effects(dataset: SurvivalDataset) -> EstimationResult:
@@ -1006,8 +1004,7 @@ def estimate_effects(dataset: SurvivalDataset) -> EstimationResult:
     against a* = 0."""
     ref = dataset.group(0)
     fit = fit_cox_td(ref)
-    baseline = breslow_baseline(fit, ref)
     rho_hat = estimate_rho(dataset, fit)
-    km = {0: kaplan_meier(ref), 1: kaplan_meier(dataset.group(1))}
-    curves = effect_curves(rho_hat, km[1], km[0])
-    return EstimationResult(fit, baseline, rho_hat, curves, km)
+    curves = effect_curves(rho_hat, kaplan_meier(dataset.group(1)),
+                           kaplan_meier(ref))
+    return EstimationResult(fit, rho_hat, curves)

@@ -1016,3 +1016,94 @@ def test_out_that_is_a_file_is_a_usage_error(command, survival_csv,
     assert main(argv + ["--out", str(out)]) == 2
     assert _single_error(capsys)["message"] == f"{out} is not a directory"
     assert out.read_text() == "kept\n"
+
+
+# -- hostile model and graph files, and the selftest score check ---------------------
+
+
+TWO_PROCESS_HAWKES = {"mu": [0.5, 0.4], "branching": [[0.0, 0.3], [0.2, 0.0]],
+                      "decay": [[1.0, 1.0], [1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("observed", [[7], [0.5], [-1], [0, 0], [True],
+                                      ["0"]])
+@pytest.mark.parametrize("simulate", [False, True],
+                         ids=["exact", "simulate"])
+def test_hawkes_observed_out_of_range_is_a_configuration_error(
+        observed, simulate, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**TWO_PROCESS_HAWKES, "observed": observed}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("kept")
+    argv = ["hawkes", "--model", str(path), "--identify", "--out",
+            str(out_dir)] + ["--simulate", "50"] * simulate
+    assert main(argv) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "ConfigurationError"
+    assert error["message"].startswith("observed must be distinct")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["keep.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["sep", "--from", "AM", "--target", "N"],
+    ["unroll", "--lags", "2"],
+    ["unroll", "--lags", "2", "--out", "{out}"],
+], ids=["check", "sep", "unroll", "unroll-out"])
+def test_graph_file_that_is_not_utf8_is_a_parse_error(argv, tmp_path, capsys):
+    path = tmp_path / "latin1.lig"
+    path.write_bytes(MEDIATION_LIG.replace("outcome N", "outcome N # \xe9")
+                     .encode("latin-1"))
+    out = tmp_path / "unrolled.lig"
+    argv = [a.format(out=out) for a in argv]
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "ParseError"
+    assert error["message"].startswith(f"{path}: not UTF-8 text")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("wrong", [lambda s: 1.1 * s, lambda s: 0.5 * s,
+                                   lambda s: s + 0.01],
+                         ids=["1.1x", "0.5x", "+0.01"])
+def test_selftest_fails_on_a_wrong_cox_score(wrong, monkeypatch, capsys):
+    from medgraph import survival
+    cox_stats = survival._cox_stats
+
+    def patched(r, gamma):
+        loglik, grad, info = cox_stats(r, gamma)
+        return loglik, wrong(grad), info
+
+    monkeypatch.setattr(survival, "_cox_stats", patched)
+    assert main(["selftest", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:5]] == [
+        ["PASS", "separation_oracles_agree"], ["PASS", "roll_unroll_round_trip"],
+        ["PASS", "gformula_identification"], ["FAIL", "cox_partial_likelihood"],
+        ["PASS", "hawkes_identification"]]
+    assert "analytic score" in lines[3]
+
+
+def test_scm_file_with_renamed_components_is_a_configuration_error(tmp_path,
+                                                                   capsys):
+    # renamed consistently, AD -> X and AM -> Y: the model is well formed,
+    # but the exact layer knows the two components only as AD and AM
+    rename = {"AD": "X", "AM": "Y"}
+    model = scm_to_dict(random_separated_scm(2, seed=8))
+    model = {
+        "grid": model["grid"],
+        "variables": [{**v, "name": rename.get(v["name"], v["name"])}
+                      for v in model["variables"]],
+        "parents": {rename.get(n, n): [rename.get(p, p) for p in ps]
+                    for n, ps in model["parents"].items()},
+        "cpt": {rename.get(n, n): c for n, c in model["cpt"].items()},
+        "separated": {"direct": "X", "mediated": "Y"},
+    }
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(model))
+    assert main(["simulate", "--scm", str(path), "--query", "gformula",
+                 "--t", "2"]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "ConfigurationError"
+    assert "separated must be" in error["message"]

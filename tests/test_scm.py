@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -582,3 +584,86 @@ def test_scm_round_trip_observational():
 def test_scm_from_dict_malformed():
     with pytest.raises(ConfigurationError):
         scm_from_dict({"grid": 1, "variables": [{"name": "A"}]})
+
+
+# -- the separated model's factor structure ------------------------------------------
+
+# parents of the violation-free model on three grid points, in model order
+SEPARATED_PARENTS_K3 = {
+    "AD": (), "AM": (),
+    "M0": ("AM",),
+    "C0": ("AD", "M0"),
+    "S1": ("AD", "M0", "C0"),
+    "M1": ("AM", "M0", "C0", "S1"),
+    "C1": ("AD", "M0", "C0", "M1", "S1"),
+    "S2": ("AD", "M0", "C0", "M1", "C1", "S1"),
+    "M2": ("AM", "M0", "C0", "M1", "C1", "S2"),
+    "C2": ("AD", "M0", "C0", "M1", "C1", "M2", "S2"),
+    "S3": ("AD", "M0", "C0", "M1", "C1", "M2", "C2", "S2"),
+}
+# the parents a violation adds, by the first letter of the variable; they go
+# before the survival gate S_i (last), or last at grid point 0
+VIOLATION_PARENTS = {
+    None: {},
+    "direct_to_mediator": {"M": ("AD",)},
+    "mediated_to_survival": {"S": ("AM",)},
+    "mediated_to_covariate": {"C": ("AM",)},
+    "latent_confounding": {"M": ("U",), "S": ("U",)},
+}
+
+
+def _expected_parents(k, violation):
+    names = list(SEPARATED_PARENTS_K3)[:2 + 3 * k]
+    if violation == "latent_confounding":
+        names.insert(2, "U")
+    spec = {}
+    for name in names:
+        parents = SEPARATED_PARENTS_K3.get(name, ())
+        extra = VIOLATION_PARENTS[violation].get(name[0], ())
+        if name in ("AD", "AM", "U"):
+            spec[name] = parents
+        elif parents[-1].startswith("S"):
+            spec[name] = parents[:-1] + extra + parents[-1:]
+        else:
+            spec[name] = parents + extra
+    return spec
+
+
+@pytest.mark.parametrize("violation", [None, *VIOLATIONS])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_separated_parents_match_the_written_spec(k, violation):
+    model = random_separated_scm(k, seed=k, violation=violation)
+    assert {v.name: v.parents for v in model.variables} \
+        == _expected_parents(k, violation)
+    assert model.names == tuple(_expected_parents(k, violation))
+
+
+@pytest.mark.parametrize("k, seed, violation, digest", [
+    (1, 0, None,
+     "00c3f5db729d9d30ac5747fe41f86a3e0e7464f387e23abc9629477948c68c7a"),
+    (2, 3, "direct_to_mediator",
+     "b12a018e40f1fe27952200d63794898f3ada09ccc6cbcede8b7b6416d4f024ce"),
+    (2, 1, "mediated_to_covariate",
+     "f00caa326259c021fbe4bf8d96783c5828c472e0579aa2ead163ca984c6a9660"),
+    (3, 2, "mediated_to_survival",
+     "fb754df0a3789b66a7c6153781086021096a88e35b9211a0d4031b2988686c00"),
+    (3, 5, "latent_confounding",
+     "84609c5248e4037d781e6cebf5aea2f4e5d167f6f4b5cec1f4e950b6290eeef3"),
+])
+def test_separated_model_stream_is_pinned(k, seed, violation, digest):
+    # the serialized model, states, parents and every CPT bit
+    text = json.dumps(scm_to_dict(random_separated_scm(k, seed, violation)),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("separated", [
+    {"direct": "AM", "mediated": "AD"}, {"direct": "AD"},
+    {"direct": "AD", "mediated": "AM", "latent": "U"}, {}, ["AD", "AM"],
+])
+def test_scm_from_dict_takes_only_the_fixed_components(separated):
+    d = scm_to_dict(random_separated_scm(1, seed=4))
+    assert d["separated"] == {"direct": "AD", "mediated": "AM"}
+    d["separated"] = separated
+    with pytest.raises(ConfigurationError, match="separated must be"):
+        scm_from_dict(d)
