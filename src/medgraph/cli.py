@@ -202,7 +202,7 @@ def _csv_text(header, columns, names=None, index=None):
     name's UTF-8 and a newline from a table, or a newline in place of the
     last comma.  The bytes in use are compressed out and decoded once."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    labels = [str(name).encode("utf-8", "surrogatepass") + b"\n"
+    labels = [str(name).encode("utf-8") + b"\n"
               for name in names or ()]
     label_width = max(map(len, labels), default=0)
     table = np.zeros((len(labels), label_width), dtype=np.uint8)
@@ -227,7 +227,7 @@ def _csv_text(header, columns, names=None, index=None):
             rows = index[lo:lo + WRITE_CHUNK_ROWS]
             line[:, floats:] = table[rows]
             keep[:, floats:] = table_keep[rows]
-        yield line[keep].tobytes().decode("utf-8", "surrogatepass")
+        yield line[keep].tobytes().decode("utf-8")
 
 
 def _float_csv(header, columns):

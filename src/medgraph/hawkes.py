@@ -8,9 +8,10 @@ vectorized step, exact and empirical integrated covariance, and the
 moment-based identification of the direct (G_DA) and mediated (G_DM * G_MA)
 effects from the observable covariance alone.
 
-The empirical covariance bins the events once and forms every lagged sum
-of products of the uncentered bin counts, sum_t c_t c_{t+l}^T, in one pass
-over blocks of bins that stay in cache while each lag's product is taken.
+The empirical covariance forms every lagged sum of products of the
+uncentered bin counts, sum_t c_t c_{t+l}^T, in one pass over blocks of bins
+that stay in cache while each lag's product is taken; the sorted events are
+binned a block at a time, so memory is O(events + block).
 The counts are small integers, so these sums are exact; each lag is then
 centred in closed form with the count totals.
 
@@ -67,6 +68,18 @@ class HawkesModel:
             object.__setattr__(self, "names", tuple(f"p{i}" for i in range(n)))
         if len(self.names) != n:
             raise ConfigurationError("names length does not match dimension")
+        seen = set()
+        for name in self.names:
+            # events.csv writes each name bare, in UTF-8, as the second
+            # field of a line; a lone surrogate has no UTF-8 encoding
+            if not isinstance(name, str) or any(
+                    c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in name):
+                raise ConfigurationError(
+                    f"process name {name!r} is not a string free of commas, "
+                    f"quotes, CR, LF and lone surrogates")
+            if name in seen:
+                raise ConfigurationError(f"process name {name!r} is repeated")
+            seen.add(name)
         if not self.observed:
             object.__setattr__(self, "observed", tuple(range(n)))
         obs = self.observed
@@ -258,12 +271,14 @@ def _sample_clusters(model, times, procs, horizon, rng):
     per step.  Along each edge j -> i, a type-j event at time t has
     Poisson(G_ij (1 - e^{-beta_ij (h - t)})) type-i children at truncated-
     exponential offsets (inverse CDF).  Returns times, processes, root
-    indices and generations, ordered by generation."""
+    indices and generations, ordered by generation; each is joined from
+    its generations and those freed before the next is joined."""
     g, beta = model.branching, model.decay
     edges = np.argwhere(g > 0)
-    out = [(times, procs, np.arange(len(times)))]
-    while out[-1][0].size and edges.size:
-        gen_t, gen_p, gen_r = out[-1]
+    fields = ([times], [procs], [np.arange(len(times))])
+    sizes = [len(times)]
+    while sizes[-1] and edges.size:
+        gen_t, gen_p, gen_r = (f[-1] for f in fields)
         kids = []
         for i, j in edges:
             sel = np.flatnonzero(gen_p == j)
@@ -273,18 +288,25 @@ def _sample_clusters(model, times, procs, horizon, rng):
             ct = np.repeat(gen_t[sel], k) - np.log1p(-u) / beta[i, j]
             kids.append((np.minimum(ct, horizon), np.full(ct.size, i),
                          np.repeat(gen_r[sel], k)))
-        out.append(tuple(np.concatenate(c) for c in zip(*kids)))
-        if sum(o[0].size for o in out) > EVENT_BUDGET:
+        for f, c in zip(fields, zip(*kids)):
+            f.append(np.concatenate(c))
+        sizes.append(len(fields[0][-1]))
+        if sum(sizes) > EVENT_BUDGET:
             raise SizeError("event budget exceeded during simulation")
-    times, procs, roots = (np.concatenate(c) for c in zip(*out))
-    gens = np.repeat(np.arange(len(out)), [o[0].size for o in out])
-    return times, procs, roots, gens
+    joined = []
+    for f in fields:
+        joined.append(np.concatenate(f))
+        f.clear()
+    gens = np.repeat(np.arange(len(sizes)), sizes)
+    return (*joined, gens)
 
 
 def simulate(model: HawkesModel, t_end, seed) -> EventStream:
     """Cluster-representation sampler: immigrants are homogeneous Poisson
     per process, and their clusters are drawn a whole generation at a time.
-    Root ids number the immigrants by process, then by time."""
+    Root ids number the immigrants by process, then by time: ``np.repeat``
+    groups them by process, and each process's times are sorted in place.
+    The stream's time order is applied one array at a time."""
     if not 0.0 < t_end < np.inf:
         raise ConfigurationError("t_end must be positive and finite")
     expected = float(mean_intensities(model).sum() * t_end)
@@ -292,14 +314,19 @@ def simulate(model: HawkesModel, t_end, seed) -> EventStream:
         raise SizeError(f"expected {expected:.3g} events exceeds the "
                         f"{EVENT_BUDGET} budget")
     rng = np.random.default_rng(seed)
-    procs = np.repeat(np.arange(model.dimension), rng.poisson(model.mu * t_end))
+    per_proc = rng.poisson(model.mu * t_end)
+    procs = np.repeat(np.arange(model.dimension), per_proc)
     times = rng.uniform(0.0, t_end, size=procs.size)
-    order = np.lexsort((times, procs))
-    times, procs, roots, gens = _sample_clusters(
-        model, times[order], procs[order], float(t_end), rng)
-    order = np.argsort(times, kind="stable")
-    return EventStream(times[order], procs[order], float(t_end),
-                       model.dimension, roots[order], gens[order])
+    bounds = np.cumsum(per_proc)
+    for lo, hi in zip(bounds - per_proc, bounds):
+        times[lo:hi].sort()
+    fields = list(_sample_clusters(model, times, procs, float(t_end), rng))
+    del times, procs
+    order = np.argsort(fields[0], kind="stable")
+    for k in range(len(fields)):
+        fields[k] = fields[k][order]
+    return EventStream(fields[0], fields[1], float(t_end), model.dimension,
+                       fields[2], fields[3])
 
 
 def simulate_clusters(model: HawkesModel, root_type, n_clusters, horizon,
@@ -405,21 +432,41 @@ def default_max_lag(model: HawkesModel, bin_width, tail=1e-3):
     return int(np.ceil(span / bin_width))
 
 
+class _BinnedCounts:
+    """The (n_bins, n) float count matrix of a stream, binned on demand: the
+    row slice ``[lo:hi]`` bincounts only the events in bins lo..hi-1, found
+    by ``searchsorted`` on the events' bin indices ``idx``, which never
+    decrease because the stream is sorted by time."""
+
+    def __init__(self, idx, procs, n_bins, n):
+        self.idx, self.procs, self.shape = idx, procs, (n_bins, n)
+
+    def __getitem__(self, rows):
+        lo, hi, _ = rows.indices(self.shape[0])
+        n = self.shape[1]
+        first, last = np.searchsorted(self.idx, [lo, hi])
+        cells = (self.idx[first:last] - lo) * n + self.procs[first:last]
+        return np.bincount(cells, minlength=(hi - lo) * n).reshape(
+            hi - lo, n).astype(float)
+
+
 def _lag_sums(counts, max_lag):
     """S[l] = counts[:N-l].T @ counts[l:] for l = 0..max_lag, shape
-    (max_lag + 1, n, n).  The bins are walked in blocks of ``LAG_BLOCK``,
-    small enough to stay in cache while every lag's product of the block
-    against the bins l later is formed from it.  On integer counts every
-    partial sum is an integer, so the result is exact in any order while
-    the sums stay below 2**53 (at most EVENT_BUDGET**2 = 1e14 for a
-    simulated stream)."""
+    (max_lag + 1, n, n), from an array or a ``_BinnedCounts``.  The bins are
+    read in blocks of ``LAG_BLOCK``, each once, as a window that runs
+    ``max_lag`` bins past the block; the window stays in cache while every
+    lag's product of the block against the bins l later is formed from it.
+    On integer counts every partial sum is an integer, so the result is
+    exact in any order while the sums stay below 2**53 (at most
+    EVENT_BUDGET**2 = 1e14 for a simulated stream)."""
     n_bins, n = counts.shape
     s = np.zeros((max_lag + 1, n, n))
     for lo in range(0, n_bins, LAG_BLOCK):
-        block = counts[lo:lo + LAG_BLOCK].T
+        window = counts[lo:lo + LAG_BLOCK + max_lag]
+        block = window[:LAG_BLOCK].T
         for lag in range(min(max_lag + 1, n_bins - lo)):
             s[lag] += (block[:, :n_bins - lo - lag]
-                       @ counts[lo + lag:lo + lag + LAG_BLOCK])
+                       @ window[lag:lag + LAG_BLOCK])
     return s
 
 
@@ -430,7 +477,8 @@ def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
     divides by the N - l bin pairs at that lag.  It is computed from the
     exact integer lag sums S_l of the uncentered counts, centred in closed
     form: S_l - a_l mu^T - mu b_l^T + (N - l) mu mu^T, where a_l and b_l
-    are the count totals of the first and the last N - l bins."""
+    are the count totals of the first and the last N - l bins.  The counts
+    are binned a block at a time, so no bins x processes array is held."""
     _check_bin_width(bin_width)
     if max_lag < 0:
         raise ConfigurationError("max_lag must be >= 0")
@@ -446,14 +494,15 @@ def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
     if n_bins * (max_lag + 1) * n * n > LAG_SUM_BUDGET:
         raise SizeError(f"{n_bins} bins at {max_lag + 1} lags of {n} processes "
                         f"exceed the {LAG_SUM_BUDGET} lag-sum budget")
-    idx = np.minimum((stream.times / bin_width).astype(int), n_bins - 1)
-    counts = np.bincount(idx * n + stream.procs,
-                         minlength=n_bins * n).reshape(n_bins, n).astype(float)
+    idx = (stream.times / bin_width).astype(int)
+    np.minimum(idx, n_bins - 1, out=idx)
+    counts = _BinnedCounts(idx, stream.procs, n_bins, n)
     s = _lag_sums(counts, max_lag)
     total = np.bincount(stream.procs, minlength=n).astype(float)   # column sums
     mu = total / n_bins
     zero = np.zeros((1, n))
-    a = total - np.concatenate([zero, np.cumsum(counts[::-1][:max_lag], axis=0)])
+    a = total - np.concatenate(
+        [zero, np.cumsum(counts[n_bins - max_lag:][::-1], axis=0)])
     b = total - np.concatenate([zero, np.cumsum(counts[:max_lag], axis=0)])
     pairs = (n_bins - np.arange(max_lag + 1))[:, None, None]
     cl = (s - a[:, :, None] * mu - mu[:, None] * b[:, None, :]

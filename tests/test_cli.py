@@ -365,6 +365,25 @@ def test_non_numeric_model_fields_are_domain_errors(fields, tmp_path, capsys):
     assert _single_error(capsys)["code"] == "ConfigurationError"
 
 
+@pytest.mark.parametrize("names", [
+    ["a", "a"], ["a\nb", "c"], [1, 2], [["a"], "b"], ["D,x", "y"],
+    ["\ud800", "b"],
+], ids=["repeated", "newline", "numbers", "list", "comma", "surrogate"])
+def test_process_names_that_events_csv_cannot_hold_are_domain_errors(
+        names, tmp_path, capsys):
+    model = {"mu": [0.5, 0.5], "branching": [[0.0, 0.1], [0.2, 0.0]],
+             "decay": [[1.0, 1.0], [1.0, 1.0]], "names": names}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out_dir = tmp_path / "out"
+    assert main(["hawkes", "--model", str(path), "--simulate", "20",
+                 "--out", str(out_dir)]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "ConfigurationError"
+    assert repr(names[0]) in error["message"]
+    assert not out_dir.exists()
+
+
 def _slow_decay(model):
     model["decay"] = (np.asarray(model["decay"]) * 1e-3).tolist()
 

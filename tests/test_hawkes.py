@@ -1,3 +1,7 @@
+import hashlib
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -569,3 +573,153 @@ def test_every_root_starts_its_own_cluster():
     assert np.all(np.diff(root_proc) >= 0)
     for p in range(model.dimension):
         assert np.all(np.diff(root_time[root_proc == p]) > 0)
+
+
+# -- bitwise pins of the random stream and the covariance ------------------------------
+
+
+def _fig7_pinned():
+    return fig7_model(0.4, 0.3, 0.4, 0.3, 0.3, 0.35, 0.3,
+                      mu=(0.6, 0.5, 0.5, 0.4, 0.5), beta=2.0)
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# sha256 of the bytes of times, procs, roots and generations of
+# simulate(_fig7_pinned(), 2000.0, seed), recorded before the simulator
+# sorted the immigrants per process in place
+STREAM_SHA256 = {
+    0: (7870,
+        "59b6a16ed82e552473f0b15c1e65e04e152be9a5a9ceab8821ad28f71934bf32",
+        "f67c5aadfa2d7398e360054d05b6ba103a179c11fa51aef3812b06fcb4a925b8",
+        "f60c9d13e8ca45d9654cbde021311f9d4817789b4700005c6ef69c2b97c76069",
+        "816ecad3c31ea71265f9ce3b9e4ab876578b3cd6350d44aea5aa24942744c4aa"),
+    1: (7987,
+        "3b42679f21a4cbbe17fbd090aa542c353205017502dde7700e662518afe74e64",
+        "411ec578622d2f1ba1b5b2908207a11f23a6a682e7235d9e2501e569ead75f0f",
+        "1b92dd5246e69dc0e4cbe477771ca4e4d46dddfc7b3c540014a0d7b68248c15b",
+        "cfd59f5fa57fbe4139e8b66a17864d71a96ebc176df321f4db6c5eba1987336d"),
+    2: (7833,
+        "a72d7a7ba44c09868f1fa72123fff28b747b312d59c87f35ec958fcb96ce975b",
+        "8c1ecc71aaf67f11fd3f06cf0150ea0a81a11f0ffd0301f7e2995f229e352793",
+        "0b247e6ef5681ef4e671ac16b41567b8df2aeec06130cd8abaf923309a0c8d3c",
+        "da367171046dab6e1683a0820f0238968af0a98003eb9176de83eafe2f63b93c"),
+}
+
+# sha256 of simulate_clusters(_fig7_pinned(), "A", 3000, 400.0, [seed, 1]),
+# recorded at the same point
+CLUSTER_SHA256 = {
+    0: (5614, "17c8c500a6c02ca6cca210703f274b3cb78b61a523232ebd3d05c24344cefdc3"),
+    1: (5552, "3084a8e9ca659ba24a113f81a4da2bbfbe8be656404e38239133ceadc1406486"),
+    2: (5537, "92377807bb0e57989c121fa312879881f967762ce5b74f58a0e4488880880f03"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STREAM_SHA256))
+def test_simulated_stream_is_pinned_bitwise(seed):
+    stream = simulate(_fig7_pinned(), 2000.0, seed)
+    fields = ("times", "procs", "roots", "generations")
+    assert [getattr(stream, f).dtype for f in fields] == [
+        np.dtype(np.float64), *[np.dtype(np.intp)] * 3]
+    assert (len(stream), *(_sha256(getattr(stream, f)) for f in fields)) \
+        == STREAM_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(CLUSTER_SHA256))
+def test_cluster_counts_are_pinned_bitwise(seed):
+    counts = simulate_clusters(_fig7_pinned(), "A", 3000, 400.0, [seed, 1])
+    assert counts.shape == (3000, 5) and counts.dtype == np.intp
+    assert (int(counts.sum()), _sha256(counts)) == CLUSTER_SHA256[seed]
+
+
+def _dense_integrated_cov(stream, bin_width, max_lag):
+    """The whole count matrix, its lag sums, then the closed-form centring
+    of every lag: the route binning a block at a time must reproduce
+    bitwise."""
+    n_bins = int(stream.horizon / bin_width)
+    n = stream.n_processes
+    idx = np.minimum((stream.times / bin_width).astype(int), n_bins - 1)
+    counts = np.bincount(idx * n + stream.procs,
+                         minlength=n_bins * n).reshape(n_bins, n).astype(float)
+    s = hk._lag_sums(counts, max_lag)
+    total = counts.sum(axis=0)
+    mu = total / n_bins
+    c = np.zeros((n, n))
+    for lag in range(max_lag + 1):
+        a = counts[:n_bins - lag].sum(axis=0)     # the first N - l bins
+        b = counts[lag:].sum(axis=0)              # the last N - l bins
+        pairs = n_bins - lag
+        cl = (s[lag] - a[:, None] * mu - mu[:, None] * b[None, :]
+              + pairs * np.outer(mu, mu)) / pairs
+        c = cl.copy() if lag == 0 else c + (cl + cl.T)
+    c /= bin_width
+    return 0.5 * (c + c.T)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 8192])
+def test_empirical_cov_equals_the_dense_count_matrix_bitwise(block,
+                                                             monkeypatch):
+    monkeypatch.setattr(hk, "LAG_BLOCK", block)
+    # Summed over long lags the estimate's diagonal can be negative, which
+    # CovMatrix refuses; the matrix handed to it is compared instead.
+    monkeypatch.setattr(hk, "CovMatrix", lambda matrix: matrix)
+    stream = simulate(_fig7_pinned(), 601.0, 5)
+    # 601 bins (a prime, so no block size divides it) at every edge of the
+    # lag range; 10 016 bins, more than one block of 8192, at short lags
+    cases = [(1.0, 0), (1.0, 1), (1.0, 17), (1.0, 600)]
+    if block >= 3:
+        cases += [(0.06, 0), (0.06, 1), (0.06, 33)]
+    for bin_width, max_lag in cases:
+        got = integrated_cov_empirical(stream, bin_width, max_lag)
+        assert np.array_equal(
+            got, _dense_integrated_cov(stream, bin_width, max_lag))
+
+
+def test_empirical_cov_never_builds_the_count_matrix():
+    stream = simulate(_fig7_pinned(), 50_000.0, 6)
+    held = sum(getattr(stream, f).nbytes
+               for f in ("times", "procs", "roots", "generations"))
+    bin_width = 0.1
+    # the float count matrix and its int64 source: 6.3 times the stream
+    assert (int(stream.horizon / bin_width) * stream.n_processes * 16
+            >= 4 * held)
+    tracemalloc.start()
+    try:
+        integrated_cov_empirical(stream, bin_width, 35)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # binning every bin at once peaked at 6.5 times the stream's bytes;
+    # a block at a time it peaks at 0.50 times
+    assert peak <= 1.0 * held
+
+
+def test_simulate_holds_one_copy_of_the_stream():
+    tracemalloc.start()
+    try:
+        stream = simulate(_fig7_pinned(), 50_000.0, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(stream, f).nbytes
+               for f in ("times", "procs", "roots", "generations"))
+    # gathering the four arrays while the unsorted ones were alive peaked
+    # at 2.53 times the stream's bytes; one array at a time it is 1.53 times
+    assert peak <= 2.0 * held
+
+
+@pytest.mark.parametrize("names, bad", [
+    (("a", "a"), "'a' is repeated"),
+    (("a\nb", "c"), "'a\\nb'"),
+    (("a", "b\r"), "'b\\r'"),
+    (("D,x", "y"), "'D,x'"),
+    (('say "x"', "y"), "'say \"x\"'"),
+    ((1, 2), "1"),
+    ((["a"], "b"), "['a']"),
+    (("\ud800", "b"), "'\\ud800'"),
+])
+def test_process_names_must_be_distinct_plain_strings(names, bad):
+    with pytest.raises(ConfigurationError, match=re.escape(bad)):
+        HawkesModel(np.ones(2), np.zeros((2, 2)), np.ones((2, 2)), names=names)
