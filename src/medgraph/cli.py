@@ -323,8 +323,13 @@ def _outputs(directory, names, force):
     every result is computed: it creates ``directory`` and writes each
     text, a string or an iterable of strings, to its file.  So a failed run
     leaves no output behind."""
-    if os.path.exists(directory) and not os.path.isdir(directory):
-        raise UsageError(f"{directory} is not a directory")
+    # the nearest existing ancestor (or ``directory`` itself) must be a
+    # directory, or makedirs would fail once the work is done
+    ancestor = directory
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise UsageError(f"{ancestor} is not a directory")
     paths = [os.path.join(directory, name) for name in names]
     for path in paths:
         if os.path.exists(path) and not force:
@@ -381,6 +386,8 @@ def cmd_sep(args):
 def cmd_unroll(args):
     if args.out:
         directory, name = os.path.split(args.out)
+        if not name or os.path.isdir(args.out):
+            raise UsageError(f"--out {args.out} is a directory, not a file")
         write = _outputs(directory, [name], args.force)
     else:
         write = sys.stdout.write
@@ -692,7 +699,9 @@ def main(argv=None):
         with contextlib.redirect_stderr(held):
             # looked up now, not when the parser was built
             status = globals()["cmd_" + args.command](args)
-    except (FileNotFoundError, UsageError) as exc:
+    # a file that cannot be opened: an input that is missing, a directory
+    # or unreadable, or an output the finished run cannot write
+    except (OSError, UsageError) as exc:
         return _error("usage", exc, EXIT_USAGE)
     except MedgraphError as exc:
         return _error(type(exc).__name__, exc, EXIT_DOMAIN)

@@ -69,8 +69,31 @@ def _closure(targets, parent_map):
     return seen
 
 
+class _Graph:
+    """What rolled graphs and unrolled DAGs share.  A subclass gives
+    ``nodes`` and ``all_edges``; the parent/child maps, the node-name check
+    and the ancestor closure read only those two."""
+
+    @cached_property
+    def adjacency(self):
+        """(children, parents) over all edges, built once per graph."""
+        return _adjacency(self.all_edges)
+
+    def _check_known(self, names):
+        unknown = set(names) - self.nodes
+        if unknown:
+            raise UnknownNodeError(f"unknown node names: {sorted(unknown)}")
+
+    def ancestors(self, target, include_target=False):
+        """an(target) over all edges; ``include_target`` gives an+(target)."""
+        target = set(target)
+        self._check_known(target)
+        anc = _closure(target, self.adjacency[1])
+        return anc | target if include_target else anc
+
+
 @dataclass(frozen=True)
-class TailedDirectedGraph:
+class TailedDirectedGraph(_Graph):
     """Rolled graph: directed + tailed directed edges over named nodes.
 
     ``baseline`` is the subset of node names representing baseline variables;
@@ -126,24 +149,7 @@ class TailedDirectedGraph:
     def sorted_nodes(self):
         return sorted(self.nodes)
 
-    @cached_property
-    def adjacency(self):
-        """(children, parents) over all edges, built once per graph."""
-        return _adjacency(self.all_edges)
-
-    def _check_known(self, names):
-        unknown = set(names) - self.nodes
-        if unknown:
-            raise UnknownNodeError(f"unknown node names: {sorted(unknown)}")
-
     # -- queries ---------------------------------------------------------
-
-    def ancestors(self, target, include_target=False):
-        """an(target) over all edges; ``include_target`` gives an+(target)."""
-        target = set(target)
-        self._check_known(target)
-        anc = _closure(target, self.adjacency[1])
-        return anc | target if include_target else anc
 
     def descendants(self, source):
         source = set(source)
@@ -210,7 +216,7 @@ LaggedNode = tuple[str, int]
 
 
 @dataclass(frozen=True)
-class UnrolledDag:
+class UnrolledDag(_Graph):
     """Variable-level DAG on (name, lag) copies of each process, with
     baseline variables present at lag 0 only."""
 
@@ -221,17 +227,19 @@ class UnrolledDag:
 
     @classmethod
     def build(cls, lag_count, process_names, baseline_names, edges):
+        """The DAG on ``edges`` from outside, checked as given (nothing is
+        coerced): each endpoint is a lagged node, no edge goes back in time
+        and none closes a cycle.  ``unroll`` makes such edges and skips it."""
         if lag_count < 1:
             raise GraphError(f"lag_count must be >= 1, got {lag_count}")
         process_names = frozenset(process_names)
         baseline_names = frozenset(baseline_names)
         if process_names & baseline_names:
             raise GraphError("process and baseline name sets overlap")
-        obj = cls(lag_count, process_names, baseline_names, frozenset(map(_as_edge, edges)))
-        nodes = obj.node_set()
+        obj = cls(lag_count, process_names, baseline_names, frozenset(edges))
         for (src, dst) in obj.edges:
             for nd in (src, dst):
-                if nd not in nodes:
+                if nd not in obj.nodes:
                     raise GraphError(f"edge endpoint {nd} not a valid lagged node")
             if src[1] > dst[1]:
                 raise GraphError(f"edge goes backwards in time: {src} -> {dst}")
@@ -239,33 +247,27 @@ class UnrolledDag:
                 raise GraphError(f"self-loop {src}")
         # no edge goes back in time, so every cycle stays within one lag
         same_lag = [(src, dst) for src, dst in obj.edges if src[1] == dst[1]]
-        if len(topological_order(nodes, same_lag)) < len(nodes):
+        if len(topological_order(obj.nodes, same_lag)) < len(obj.nodes):
             raise GraphError("unrolled graph contains a directed cycle")
         return obj
 
-    def node_set(self) -> set[LaggedNode]:
+    @cached_property
+    def nodes(self) -> frozenset[LaggedNode]:
+        """Every lagged node, built once per DAG."""
         nodes = {(name, t) for name in self.process_names for t in range(self.lag_count + 1)}
         nodes |= {(name, 0) for name in self.baseline_names}
-        return nodes
+        return frozenset(nodes)
+
+    @property
+    def all_edges(self):
+        """The lagged edges, under the name the shared graph code reads."""
+        return self.edges
+
+    def node_set(self) -> frozenset[LaggedNode]:
+        return self.nodes
 
     def sorted_nodes(self):
-        return sorted(self.node_set(), key=lambda nd: (nd[1], nd[0]))
-
-    @cached_property
-    def adjacency(self):
-        """(children, parents) over the lagged edges, built once per DAG."""
-        return _adjacency(self.edges)
-
-    def _check_known(self, names):
-        unknown = set(names) - self.node_set()
-        if unknown:
-            raise UnknownNodeError(f"unknown lagged nodes: {sorted(unknown)}")
-
-    def ancestors(self, target, include_target=False):
-        target = set(map(_as_node, target))
-        self._check_known(target)
-        anc = _closure(target, self.adjacency[1])
-        return anc | target if include_target else anc
+        return sorted(self.nodes, key=lambda nd: (nd[1], nd[0]))
 
     def restrict_lags(self, max_lag) -> "UnrolledDag":
         """Subgraph on lags 0..max_lag."""
@@ -275,16 +277,6 @@ class UnrolledDag:
             max_lag, self.process_names, self.baseline_names,
             frozenset(e for e in self.edges if e[0][1] <= max_lag and e[1][1] <= max_lag),
         )
-
-
-def _as_edge(e):
-    (a, b) = e
-    return (_as_node(a), _as_node(b))
-
-
-def _as_node(n):
-    name, lag = n
-    return (str(name), int(lag))
 
 
 # -- graph DSL ("\.lig" files) -------------------------------------------
@@ -297,6 +289,10 @@ class GraphSpecFile:
     graph: TailedDirectedGraph
     latent: frozenset[str] = frozenset()
     roles: dict[str, list[str]] = field(default_factory=dict)
+
+
+# a node so named would change how the statements naming it parse
+_KEYWORDS = frozenset({"node", "unobserved", "role", "->", "o->"})
 
 
 def parse_lig(text: str) -> GraphSpecFile:
@@ -330,6 +326,8 @@ def parse_lig(text: str) -> GraphSpecFile:
                 baseline.add(name)
             else:
                 raise ParseError(f"bad node statement: {line!r}", lineno)
+            if name in _KEYWORDS:
+                raise ParseError(f"node name {name!r} is a keyword or edge operator", lineno)
             if name in nodes:
                 raise ParseError(f"duplicate node name {name!r}", lineno)
             nodes.append(name)

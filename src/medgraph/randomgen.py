@@ -95,7 +95,7 @@ def random_query(rng, pool, max_each=2, target_pool=None):
 
 
 def random_dag_query(rng, dag: UnrolledDag):
-    nodes = sorted(dag.node_set())
+    nodes = sorted(dag.nodes)
     rng.shuffle(nodes)
     n_a = int(rng.integers(1, 4))
     n_b = int(rng.integers(1, 4))

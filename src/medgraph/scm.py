@@ -645,7 +645,7 @@ def random_scm_from_dag(dag: UnrolledDag, seed) -> DiscreteScm:
     rng = np.random.default_rng(seed)
     parents_of = dag.adjacency[1]
     variables = []
-    for node in topological_order(dag.node_set(), dag.edges,
+    for node in topological_order(dag.nodes, dag.edges,
                                   key=lambda nd: (nd[1], nd[0])):
         parents = sorted(parents_of.get(node, ()), key=lambda nd: (nd[1], nd[0]))
         cpt = _random_cpt(rng, (2,) * (len(parents) + 1), (0, 1), None)

@@ -5,8 +5,9 @@ sufficient criterion for Granger non-causality in graphs with contemporaneous
 effects.  delta-separation is d-separation in the auxiliary graph with the
 directed edges out of the target set removed; no auxiliary graph is built:
 the walk on the given graph skips each step from a node back to a parent in
-the target set, which is exactly a step along a removed edge.  Both walks
-read the graph's cached adjacency.  Each fast test has an exhaustive
+the target set, which is exactly a step along a removed edge.  d- and
+delta-queries share one setup and the graph's nodes, cached adjacency and
+ancestors, and differ only in that cut.  Each fast test has an exhaustive
 path-enumeration oracle used for cross-validation on small graphs.
 """
 
@@ -23,15 +24,25 @@ HOLDS = "holds"
 INCONCLUSIVE = "inconclusive"
 
 
-def _check_query(all_nodes, a, b, c):
+def _setup(graph, a, b, c):
+    """The checked query sets and an+(c) on a rolled graph or an unrolled
+    DAG.  an+(c) is taken in the full graph, not in the auxiliary graph
+    without the edges out of b."""
     a, b, c = set(a), set(b), set(c)
     for name, s in (("from", a), ("target", b), ("given", c)):
-        unknown = s - all_nodes
+        unknown = s - graph.nodes
         if unknown:
             raise QueryError(f"{name} set references unknown nodes: {sorted(unknown)}")
     if a & b or a & c or b & c:
         raise QueryError("query sets must be pairwise disjoint")
-    return a, b, c
+    return a, b, c, graph.ancestors(c, include_target=True)
+
+
+def _process_target(graph, b, what="delta-separation target"):
+    """The one rule delta-separation adds to :func:`_setup`."""
+    bad = b & graph.baseline
+    if bad:
+        raise QueryError(f"{what} must be process nodes, got baseline {sorted(bad)}")
 
 
 def _walk_connected(graph, a, b, given, anc_plus, cut=frozenset()):
@@ -117,23 +128,20 @@ def format_path(path):
 
 def d_separated(dag: UnrolledDag, a, b, c) -> bool:
     """True iff ``a`` and ``b`` are d-separated given ``c`` in the DAG."""
-    a, b, c = _check_query(dag.node_set(), a, b, c)
-    anc_plus = dag.ancestors(c, include_target=True)
+    a, b, c, anc_plus = _setup(dag, a, b, c)
     return not _walk_connected(dag, a, b, c, anc_plus)
 
 
 def d_separated_oracle(dag: UnrolledDag, a, b, c) -> bool:
     """Exhaustive simple-path version of :func:`d_separated`."""
-    a, b, c = _check_query(dag.node_set(), a, b, c)
-    anc_plus = dag.ancestors(c, include_target=True)
+    a, b, c, anc_plus = _setup(dag, a, b, c)
     return _first_path(dag, a, b, c, anc_plus) is None
 
 
 def d_connecting_path(dag: UnrolledDag, a, b, c):
     """One d-connecting simple path, or None if separated.  The walk test
     answers separated queries; only connected ones enumerate paths."""
-    a, b, c = _check_query(dag.node_set(), a, b, c)
-    anc_plus = dag.ancestors(c, include_target=True)
+    a, b, c, anc_plus = _setup(dag, a, b, c)
     if not _walk_connected(dag, a, b, c, anc_plus):
         return None
     return _first_path(dag, a, b, c, anc_plus)
@@ -142,31 +150,22 @@ def d_connecting_path(dag: UnrolledDag, a, b, c):
 # -- delta-separation on rolled graphs -------------------------------------
 
 
-def _delta_setup(graph: TailedDirectedGraph, a, b, c):
-    a, b, c = _check_query(graph.nodes, a, b, c)
-    bad = b & graph.baseline
-    if bad:
-        raise QueryError(f"delta-separation target must be process nodes, got baseline {sorted(bad)}")
-    # ancestors of the conditioning set are taken in the full graph, not in
-    # the auxiliary graph without the edges out of b
-    anc_plus = graph.ancestors(c, include_target=True)
-    return a, b, c, anc_plus
-
-
 def delta_separated(graph: TailedDirectedGraph, a, b, c) -> bool:
     """True iff ``b`` is delta-separated from ``a`` given ``c``.
 
     Note the asymmetry: edges out of the target set ``b`` are deleted before
     testing, so the relation is directional.
     """
-    a, b, c, anc_plus = _delta_setup(graph, a, b, c)
+    a, b, c, anc_plus = _setup(graph, a, b, c)
+    _process_target(graph, b)
     return not _walk_connected(graph, a, b, c, anc_plus, cut=b)
 
 
 def delta_separated_oracle(graph: TailedDirectedGraph, a, b, c) -> bool:
     if len(graph.nodes) > ORACLE_NODE_BUDGET:
         raise SizeError(f"path-enumeration oracle limited to {ORACLE_NODE_BUDGET} nodes")
-    a, b, c, anc_plus = _delta_setup(graph, a, b, c)
+    a, b, c, anc_plus = _setup(graph, a, b, c)
+    _process_target(graph, b)
     return _first_path(graph, a, b, c, anc_plus, cut=b) is None
 
 
@@ -174,7 +173,8 @@ def delta_connecting_path(graph: TailedDirectedGraph, a, b, c):
     """One delta-connecting simple path (in the auxiliary graph), or None.
     The walk test answers separated queries; only connected ones enumerate
     paths."""
-    a, b, c, anc_plus = _delta_setup(graph, a, b, c)
+    a, b, c, anc_plus = _setup(graph, a, b, c)
+    _process_target(graph, b)
     if not _walk_connected(graph, a, b, c, anc_plus, cut=b):
         return None
     return _first_path(graph, a, b, c, anc_plus, cut=b)
@@ -199,10 +199,8 @@ def granger_noncausal_graphical(graph: TailedDirectedGraph, a, b, c) -> GrangerR
     otherwise; the criterion is one-directional, so a failure never asserts
     dependence.
     """
-    a, b, c = _check_query(graph.nodes, a, b, c)
-    bad = b & graph.baseline
-    if bad:
-        raise QueryError(f"target must be process nodes, got baseline {sorted(bad)}")
+    a, b, c, _ = _setup(graph, a, b, c)
+    _process_target(graph, b, "target")
     anv = graph.tailed_ancestors_process(b)
     # The first condition is on process-level tailed ancestors: baseline
     # tailed ancestors of the target do not obstruct the criterion.

@@ -42,6 +42,9 @@ from .errors import ConfigurationError, DataError, EstimationError, SizeError
 GRAD_TOL = 1e-8
 STEP_FLOOR = 1e-10
 MAX_ITER = 60
+# a fit is flagged as not converged when the information of some covariate
+# fell below this share of its value at gamma = 0 (see fit_cox_td)
+SEPARATION_INFO_RATIO = 1e-3
 # bootstrap replicates * (data rows + grid points): each replicate reads
 # every row and keeps one value per grid point until the bands are taken
 BOOT_BUDGET = 1 << 28
@@ -625,16 +628,26 @@ def log_partial_likelihood(dataset: SurvivalDataset, gamma) -> float:
 
 
 def fit_cox_td(dataset: SurvivalDataset) -> CoxFit:
-    """Damped-Newton fit of the time-dependent-covariate Cox model."""
+    """Damped-Newton fit of the time-dependent-covariate Cox model.
+
+    Under separation the partial likelihood rises without bound as |gamma|
+    grows (a monotone likelihood, Heinze & Schemper 2001), and the Newton
+    steps stop where its slope falls under tolerance, far out and with the
+    information all but gone.  Such a fit is returned with ``converged``
+    False: some diagonal entry of its information is below
+    ``SEPARATION_INFO_RATIO`` times the same entry at gamma = 0.
+    """
     if dataset.n_events == 0:
         raise EstimationError("no events: the partial likelihood is empty")
     r = _risk_sets(dataset)
     gamma = np.zeros(r.covariates.shape[1])
     loglik, grad, info = _cox_stats(r, gamma)
+    floor = SEPARATION_INFO_RATIO * np.diag(info)
     for it in range(1, MAX_ITER + 1):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= GRAD_TOL:
-            return CoxFit(gamma, loglik, it - 1, gnorm, info)
+            return CoxFit(gamma, loglik, it - 1, gnorm, info,
+                          bool(np.all(np.diag(info) >= floor)))
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError:

@@ -51,7 +51,9 @@ def unroll(graph: TailedDirectedGraph, lags: int) -> UnrolledDag:
         for t in lags_of(i):
             if t in lags_of(j):
                 edges.add(((i, t), (j, t)))
-    return UnrolledDag.build(lags, process, baseline, edges)
+    # every edge joins valid lagged nodes and none goes back in time;
+    # find_tailed_cycle has ruled out the only cycle build could find
+    return UnrolledDag(lags, process, baseline, frozenset(edges))
 
 
 def _unrolled_edge_count(graph: TailedDirectedGraph, lags: int) -> int:

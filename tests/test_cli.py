@@ -1126,3 +1126,107 @@ def test_scm_file_with_renamed_components_is_a_configuration_error(tmp_path,
     error = _single_error(capsys)
     assert error["code"] == "ConfigurationError"
     assert "separated must be" in error["message"]
+
+
+# -- node names that are keywords, inputs that cannot be opened, --out under a file --
+
+
+def test_check_refuses_a_node_named_after_a_keyword(tmp_path, capsys):
+    path = tmp_path / "role.lig"
+    path.write_text("node role\nnode x\nrole -> x\n")
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error == {"code": "ParseError",
+                     "message": "line 1: node name 'role' is a keyword or "
+                                "edge operator"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{input}"],
+    ["sep", "{input}", "--from", "AM", "--target", "N"],
+    ["unroll", "{input}", "--lags", "2", "--out", "{out}/x.lig"],
+    ["simulate", "--scm", "{input}", "--query", "gformula"],
+    ["hawkes", "--model", "{input}", "--identify", "--out", "{out}"],
+    ["estimate", "--data", "{input}", "--out", "{out}"],
+], ids=["check", "sep", "unroll", "simulate", "hawkes", "estimate"])
+def test_input_that_is_a_directory_is_a_usage_error(argv, tmp_path, capsys):
+    work = tmp_path / "work"
+    (work / "input").mkdir(parents=True)
+    before = _tree(work)
+    argv = [a.format(input=work / "input", out=work / "out") for a in argv]
+    assert main(argv) == 2
+    error = _single_error(capsys)
+    assert error["code"] == "usage"
+    assert str(work / "input") in error["message"]
+    assert _tree(work) == before
+
+
+@pytest.mark.parametrize("command", ["hawkes", "unroll", "estimate"])
+def test_out_under_a_file_is_refused_before_the_work(command, hawkes_file,
+                                                     plain_file, survival_csv,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    from medgraph import cli, hawkes, survival
+    work = tmp_path / "work"
+    work.mkdir()
+    blocker = work / "F"
+    blocker.write_text("kept\n")
+    if command == "hawkes":
+        monkeypatch.setattr(hawkes, "simulate", _must_not_run)
+        argv = ["hawkes", "--model", hawkes_file, "--simulate", "50",
+                "--identify", "--out", str(blocker / "sub")]
+    elif command == "unroll":
+        monkeypatch.setattr(cli, "unroll", _must_not_run)
+        argv = ["unroll", plain_file, "--lags", "2",
+                "--out", str(blocker / "sub" / "x.lig")]
+    else:
+        monkeypatch.setattr(survival, "ingest_csv", _must_not_run)
+        argv = ["estimate", "--data", survival_csv,
+                "--out", str(blocker / "a" / "b")]
+    before = _tree(work)
+    assert main(argv) == 2
+    error = _single_error(capsys)
+    assert error == {"code": "usage", "message": f"{blocker} is not a directory"}
+    assert _tree(work) == before
+
+
+def test_out_under_missing_directories_is_still_made(plain_file, tmp_path,
+                                                     capsys):
+    out = tmp_path / "a" / "b" / "x.lig"
+    assert main(["unroll", plain_file, "--lags", "2", "--out", str(out)]) == 0
+    assert main(["unroll", plain_file, "--lags", "2"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_input_that_is_a_directory_in_a_fresh_process(tmp_path):
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "medgraph.cli", "check", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("out", ["new/", "existing"])
+def test_unroll_out_that_names_a_directory_is_refused_before_the_work(
+        out, plain_file, tmp_path, monkeypatch, capsys):
+    from medgraph import cli
+    work = tmp_path / "work"
+    (work / "existing").mkdir(parents=True)
+    monkeypatch.setattr(cli, "unroll", _must_not_run)
+    before = _tree(work)
+    target = f"{work}/{out}"
+    assert main(["unroll", plain_file, "--lags", "2", "--out", target,
+                 "--force"]) == 2
+    assert _single_error(capsys) == {
+        "code": "usage", "message": f"--out {target} is a directory, not a file"}
+    assert _tree(work) == before

@@ -200,3 +200,86 @@ def test_format_unrolled(dag_plain):
     text = format_unrolled_lig(dag_plain)
     assert "node P@0 baseline" in text
     assert "Q@0 -> R@1" in text
+
+
+# -- one graph protocol, and build's checks on edges from outside ---------------
+
+
+def test_unrolled_node_set_is_built_once(dag_plain):
+    assert dag_plain.node_set() is dag_plain.node_set()
+    assert dag_plain.node_set() is dag_plain.nodes
+    assert isinstance(dag_plain.nodes, frozenset)
+
+
+def test_rolled_and_unrolled_graphs_share_the_protocol(graph_plain, dag_plain):
+    for g in (graph_plain, dag_plain):
+        assert type(g).adjacency is graphs._Graph.adjacency
+        assert type(g).ancestors is graphs._Graph.ancestors
+        assert type(g)._check_known is graphs._Graph._check_known
+    with pytest.raises(UnknownNodeError):
+        dag_plain.ancestors({("Q", 3)})
+    with pytest.raises(UnknownNodeError):
+        graph_plain.ancestors({"Z"})
+
+
+@pytest.mark.parametrize("lag", [1.5, "a", "1"])
+def test_unrolled_build_does_not_coerce_lags(lag):
+    with pytest.raises(GraphError, match="not a valid lagged node"):
+        UnrolledDag.build(2, {"X", "Y"}, set(), {(("X", 0), ("Y", lag))})
+
+
+def test_unrolled_build_does_not_coerce_names():
+    with pytest.raises(GraphError, match="not a valid lagged node"):
+        UnrolledDag.build(1, {"1"}, set(), {((1, 0), ("1", 1))})
+
+
+# -- DSL: keywords as node names, and every parse error branch ------------------
+
+
+@pytest.mark.parametrize("name", ["node", "unobserved", "role", "->", "o->"])
+@pytest.mark.parametrize("baseline", ["", " baseline"])
+def test_node_named_after_a_keyword_is_a_parse_error(name, baseline):
+    with pytest.raises(ParseError) as err:
+        parse_lig(f"node x\nnode {name}{baseline}\n{name} -> x\n")
+    assert err.value.line_number == 2
+    assert str(err.value) == (f"line 2: node name {name!r} is a keyword or "
+                              "edge operator")
+
+
+def test_edge_out_of_a_node_named_role_is_not_lost():
+    # a node named 'role' used to make 'role -> x' a role named '->'
+    with pytest.raises(ParseError, match="line 1: node name 'role'"):
+        parse_lig("node role\nnode x\nrole -> x\n")
+
+
+def test_keywords_are_still_fine_as_role_names_and_in_comments():
+    spec = parse_lig("node x\nnode y\nx -> y  # node -> role\nrole node y\n")
+    assert spec.graph.directed == {("x", "y")}
+    assert spec.roles == {"node": ["y"]}
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("node a b c\n", 1, "bad node statement"),
+    ("node a\nnode b lagged\n", 2, "bad node statement"),
+    ("node\n", 1, "bad node statement"),
+    ("node a\nunobserved\n", 2, "bad unobserved statement"),
+    ("node a\nunobserved a b\n", 2, "bad unobserved statement"),
+    ("node a\nunobserved b\n", 2, "unobserved names unknown node 'b'"),
+    ("node a\nrole outcome\n", 2, "bad role statement"),
+    ("node a\nrole outcome a b\n", 2, "bad role statement"),
+    ("node a\nrole outcome b\n", 2, "role names unknown node 'b'"),
+    ("node a\nb -> a\n", 2, "edge references undeclared node 'b'"),
+    ("node a\na => a\n", 2, "unrecognized statement"),
+])
+def test_each_parse_error_names_its_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_lig(text)
+    assert err.value.line_number == line
+    assert str(err.value).startswith(f"line {line}: {message}")
+
+
+def test_graph_error_after_parsing_is_a_parse_error():
+    with pytest.raises(ParseError, match="plain directed edge into baseline") as err:
+        parse_lig("node P baseline\nnode X\nX -> P\n")
+    assert err.value.line_number is None
+    assert isinstance(err.value.__cause__, GraphError)

@@ -1107,3 +1107,70 @@ def test_simulation_config_without_psi_breakpoints_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="psi breakpoints"):
         SimulationConfig(n_subjects=10, rho=0.1, gamma=0.2,
                          psi_times=(), psi_values=())
+
+
+# -- the separation diagnosis, and where the effect curves stop ------------------
+
+
+SEPARATED_CSV = ("id,start,stop,event,treatment,m\n"
+                 "a,0,1,1,1,0.5\nb,0,2,0,1,0.1\n"
+                 "c,0,1.5,1,0,0.2\nd,0,2,0,0,0.3\n")
+
+
+def test_cox_fit_flags_both_separated_fits_and_neither_healthy_one(tmp_path):
+    path = tmp_path / "separated.csv"
+    path.write_text(SEPARATED_CSV)
+    columns = {"id": "id", "start": "start", "stop": "stop", "event": "event",
+               "treatment": "treatment", "covariates": ["m"]}
+    replicate = resample_subjects(_sim_ds(seed=1, n=20),
+                                  np.random.default_rng([1, 54]))
+    separated = [ingest_csv(path, columns).group(0), replicate.group(0)]
+    config = SimulationConfig(
+        n_subjects=5000, rho=0.3, gamma=0.5, psi_values=(0.2,),
+        visit_times=(1.0, 2.0), horizon=3.0, mediator_sd=0.5)
+    healthy = [simulate_dataset(config, seed=4).group(0), _sim_ds().group(0)]
+    fits = [fit_cox_td(ds) for ds in separated + healthy]
+    # each fit still returns with the gradient under tolerance
+    assert all(fit.grad_norm <= survival.GRAD_TOL for fit in fits)
+    assert [fit.converged for fit in fits] == [False, False, True, True]
+    assert fits[0].coef[0] < -100 and fits[1].coef[0] > 700
+
+
+def test_cox_separation_rule_reads_the_information_at_zero(monkeypatch):
+    ds = _sim_ds(seed=2, n=500).group(0)
+    fit = fit_cox_td(ds)
+    info0 = survival._cox_stats(survival._risk_sets(ds), np.zeros(1))[2]
+    ratio = fit.information[0, 0] / info0[0, 0]
+    monkeypatch.setattr(survival, "SEPARATION_INFO_RATIO", 0.999 * ratio)
+    assert fit_cox_td(ds).converged
+    monkeypatch.setattr(survival, "SEPARATION_INFO_RATIO", 1.001 * ratio)
+    assert not fit_cox_td(ds).converged
+
+
+def _one_interval(stops, events, arm):
+    n = len(stops)
+    return SurvivalDataset.build([f"s{i}" for i in range(n)], [0.0] * n,
+                                 stops, events, [arm] * n, np.zeros((n, 1)),
+                                 ("m",))
+
+
+def test_effect_curves_stop_where_the_reference_survival_reaches_zero():
+    # arm 0's last subject dies at 2, before arm 1's last event at 3
+    km_0 = kaplan_meier(_one_interval([1.0, 2.0], [1, 1], 0))
+    km_1 = kaplan_meier(_one_interval([1.5, 3.0, 4.0], [1, 1, 0], 1))
+    rho = StepFunction(np.array([0.5, 2.5]), np.array([0.1, 0.2]))
+    assert km_0(2.0) == 0.0 and km_1(3.0) > 0.0
+    curves = effect_curves(rho, km_1, km_0)
+    assert np.all(curves.times < 2.0)
+    np.testing.assert_array_equal(curves.times, [0.5, 1.0, 1.5])
+    np.testing.assert_array_equal(curves.total,
+                                  km_1(curves.times) / km_0(curves.times))
+
+
+def test_effect_curves_with_reference_survival_zero_from_the_start():
+    # KM_0's only jump, to 0, comes no later than any jump of R or KM_1
+    km_0 = kaplan_meier(_one_interval([0.5], [1], 0))
+    km_1 = kaplan_meier(_one_interval([1.0, 2.0], [1, 0], 1))
+    rho = StepFunction(np.array([0.5, 1.5]), np.array([0.1, 0.2]))
+    with pytest.raises(EstimationError, match="zero from the start"):
+        effect_curves(rho, km_1, km_0)

@@ -116,3 +116,22 @@ def test_unroll_refuses_more_edges_than_its_budget(graph_tailed, monkeypatch):
     assert len(unroll(graph_tailed, 3).edges) == size
     with pytest.raises(SizeError, match="budget"):
         unroll(graph_tailed, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 4))
+def test_unroll_makes_what_build_would_accept_without_calling_it(seed, lags):
+    rng = np.random.default_rng(seed)
+    g = random_rolled_graph(rng, n_nodes=int(rng.integers(2, 8)),
+                            n_baseline=int(rng.integers(1, 3)),
+                            tailed_acyclic=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unroll called UnrolledDag.build")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(UnrolledDag, "build", refuse)
+        dag = unroll(g, lags)
+    built = UnrolledDag.build(lags, g.process_nodes, g.baseline, dag.edges)
+    assert g.baseline
+    assert dag == built and dag.nodes == built.nodes
