@@ -39,13 +39,7 @@ def main():
 
     stream = hk.simulate(model, args.t_end, seed=args.seed)
     print(f"simulated {len(stream.times)} events up to T={args.t_end:g}")
-    lag = hk.default_max_lag(model, args.bin_width, tail=1e-4)
-    cov = hk.integrated_cov_empirical(stream, bin_width=args.bin_width,
-                                      max_lag=lag)
-    obs = list(model.observed)
-    emp = hk.CovMatrix(cov.matrix[np.ix_(obs, obs)],
-                       tuple(model.names[i] for i in obs))
-    est = hk.identify(emp, structure_rtol=0.5)
+    est = hk.identify_stream(model, stream, args.bin_width)
     print("empirical identification from the simulated stream:")
     print(f"  direct   {est.direct:.6f}  (true {truth['direct']:.6f})")
     print(f"  mediated {est.mediated:.6f}  (true {truth['mediated']:.6f})")

@@ -477,23 +477,16 @@ def cmd_hawkes(args):
     write = _outputs(args.out, ["events.csv"] * simulate
                      + ["identify.json"] * args.identify, args.force)
     model = hk.model_from_dict(_load_json(args.model))
+    if args.identify:
+        hk.check_fig7(model)
     texts, artifacts = [], {}
     if simulate:
         stream = hk.simulate(model, args.simulate, seed)
         texts.append(_event_lines(stream, model.names))
         artifacts["events"] = len(stream)
     if args.identify:
-        if simulate:
-            lag = hk.default_max_lag(model, args.bin_width)
-            cov = hk.integrated_cov_empirical(stream, args.bin_width, lag)
-            obs = list(model.observed)
-            cov = hk.CovMatrix(cov.matrix[np.ix_(obs, obs)],
-                               tuple(model.names[i] for i in obs))
-            rtol = 0.5  # sampling noise: structure check loosened
-        else:
-            cov = hk.integrated_cov_exact(model)
-            rtol = 1e-6
-        res = hk.identify(cov, structure_rtol=rtol)
+        res = (hk.identify_stream(model, stream, args.bin_width) if simulate
+               else hk.identify(hk.integrated_cov_exact(model)))
         out = _envelope(seed, [args.model])
         out["source"] = "empirical" if simulate else "exact"
         out["identified"] = res.as_dict()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -215,6 +216,13 @@ def find_tailed_cycle(graph: TailedDirectedGraph):
 LaggedNode = tuple[str, int]
 
 
+def check_lag_count(value, what):
+    """Raise unless ``value`` is an integer >= 1; a bool is not a count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise GraphError(f"{what} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UnrolledDag(_Graph):
     """Variable-level DAG on (name, lag) copies of each process, with
@@ -230,8 +238,7 @@ class UnrolledDag(_Graph):
         """The DAG on ``edges`` from outside, checked as given (nothing is
         coerced): each endpoint is a lagged node, no edge goes back in time
         and none closes a cycle.  ``unroll`` makes such edges and skips it."""
-        if lag_count < 1:
-            raise GraphError(f"lag_count must be >= 1, got {lag_count}")
+        check_lag_count(lag_count, "lag_count")
         process_names = frozenset(process_names)
         baseline_names = frozenset(baseline_names)
         if process_names & baseline_names:

@@ -38,6 +38,10 @@ LAG_SUM_BUDGET = 10_000_000_000
 LAG_BLOCK = 8192                # bins per cached block in _lag_sums
 
 FIG7_NAMES = ("A", "M", "D", "L", "U")
+# the mediation topology's edges by role, as (cause, effect): A -> M -> D with
+# A -> D, a proxy L feeding M and D, and a latent U feeding L and D
+FIG7_EDGES = (("A", "M"), ("A", "D"), ("M", "D"), ("L", "M"), ("L", "D"),
+              ("U", "L"), ("U", "D"))
 
 
 # -- model ---------------------------------------------------------------------
@@ -212,24 +216,18 @@ def decompose_effects(model: HawkesModel, source="A", mediator="M") -> dict:
 
 
 def fig7_model(g_ma, g_da, g_dm, g_ml, g_dl, g_lu, g_du, mu, beta=1.0) -> HawkesModel:
-    """Mediation topology: A -> M -> D with A -> D, a proxy L feeding M and
-    D, and a latent U feeding L and D.  Observables are (A, M, D, L)."""
+    """The weights of ``FIG7_EDGES``, in order; A, M, D, L are observed."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (5,):
         raise ConfigurationError("mu must have 5 entries (A, M, D, L, U)")
-    a, m, d, l, u = range(5)
     g = np.zeros((5, 5))
-    g[m, a] = g_ma
-    g[d, a] = g_da
-    g[d, m] = g_dm
-    g[m, l] = g_ml
-    g[d, l] = g_dl
-    g[l, u] = g_lu
-    g[d, u] = g_du
+    for (cause, effect), w in zip(FIG7_EDGES,
+                                  (g_ma, g_da, g_dm, g_ml, g_dl, g_lu, g_du)):
+        g[FIG7_NAMES.index(effect), FIG7_NAMES.index(cause)] = w
     beta = np.asarray(beta, dtype=float)
     if beta.ndim == 0:
         beta = np.full((5, 5), float(beta))
-    return HawkesModel(mu, g, beta, names=FIG7_NAMES, observed=(a, m, d, l),
+    return HawkesModel(mu, g, beta, names=FIG7_NAMES, observed=(0, 1, 2, 3),
                        topology="fig7")
 
 
@@ -301,6 +299,12 @@ def _sample_clusters(model, times, procs, horizon, rng):
     return (*joined, gens)
 
 
+def _check_event_budget(expected):
+    if expected > EVENT_BUDGET:
+        raise SizeError(f"expected {expected:.3g} events exceeds the "
+                        f"{EVENT_BUDGET} budget")
+
+
 def simulate(model: HawkesModel, t_end, seed) -> EventStream:
     """Cluster-representation sampler: immigrants are homogeneous Poisson
     per process, and their clusters are drawn a whole generation at a time.
@@ -309,10 +313,7 @@ def simulate(model: HawkesModel, t_end, seed) -> EventStream:
     The stream's time order is applied one array at a time."""
     if not 0.0 < t_end < np.inf:
         raise ConfigurationError("t_end must be positive and finite")
-    expected = float(mean_intensities(model).sum() * t_end)
-    if expected > EVENT_BUDGET:
-        raise SizeError(f"expected {expected:.3g} events exceeds the "
-                        f"{EVENT_BUDGET} budget")
+    _check_event_budget(float(mean_intensities(model).sum() * t_end))
     rng = np.random.default_rng(seed)
     per_proc = rng.poisson(model.mu * t_end)
     procs = np.repeat(np.arange(model.dimension), per_proc)
@@ -336,13 +337,13 @@ def simulate_clusters(model: HawkesModel, root_type, n_clusters, horizon,
     cluster is distributed like an intrinsic one)."""
     n = model.dimension
     j0 = model.index(root_type) if isinstance(root_type, str) else int(root_type)
-    if not 0 <= j0 < n or n_clusters < 0 or not 0.0 < horizon < np.inf:
-        raise ConfigurationError("need a root process of the model, "
+    if (not 0 <= j0 < n or isinstance(n_clusters, bool)
+            or not isinstance(n_clusters, (int, np.integer)) or n_clusters < 0
+            or not 0.0 < horizon < np.inf):
+        raise ConfigurationError("need a root process of the model, integer "
                                  "n_clusters >= 0 and a finite horizon > 0")
-    expected = n_clusters * float(expected_cluster_matrix(model)[:, j0].sum())
-    if expected > EVENT_BUDGET:
-        raise SizeError(f"expected {expected:.3g} events exceeds the "
-                        f"{EVENT_BUDGET} budget")
+    _check_event_budget(
+        n_clusters * float(expected_cluster_matrix(model)[:, j0].sum()))
     _, procs, roots, _ = _sample_clusters(
         model, np.zeros(n_clusters), np.full(n_clusters, j0), float(horizon),
         np.random.default_rng(seed))
@@ -374,15 +375,17 @@ class CovMatrix:
                                tuple(f"p{i}" for i in range(m.shape[0])))
 
     def entry(self, a, b):
+        for name in (a, b):
+            if name not in self.names:
+                raise ConfigurationError(f"no process named {name!r}")
         return float(self.matrix[self.names.index(a), self.names.index(b)])
 
 
 def integrated_cov_exact(model: HawkesModel) -> CovMatrix:
     """Exact integrated covariance of the observed processes:
     the full-process matrix R diag(Lambda) R^T restricted to the observed
-    block.  For the mediation topology the marginalized quadratic form is
-    verified to have the asserted sparsity (only the D-L latent coupling
-    survives off the diagonal)."""
+    block.  A model of the mediation topology is checked to have only its
+    edges (``check_fig7``)."""
     r = expected_cluster_matrix(model)
     lam = r @ model.mu
     if np.any(lam <= 0):
@@ -391,27 +394,9 @@ def integrated_cov_exact(model: HawkesModel) -> CovMatrix:
     obs = list(model.observed)
     c_obs = c_full[np.ix_(obs, obs)]
     if model.topology == "fig7":
-        _check_theta_structure(model, c_obs)
+        check_fig7(model)
     return CovMatrix(0.5 * (c_obs + c_obs.T),
                      tuple(model.names[i] for i in obs))
-
-
-def _check_theta_structure(model, c_obs):
-    obs = list(model.observed)
-    g_oo = model.branching[np.ix_(obs, obs)]
-    r_o = np.linalg.solve(np.eye(len(obs)) - g_oo, np.eye(len(obs)))
-    theta = np.linalg.solve(r_o, np.linalg.solve(r_o, c_obs.T).T)
-    scale = float(np.max(np.abs(theta)))
-    d, l = 2, 3
-    for i in range(len(obs)):
-        for j in range(len(obs)):
-            if i == j or {i, j} == {d, l}:
-                continue
-            if abs(theta[i, j]) > 1e-8 * scale:
-                raise IdentificationError(
-                    f"latent quadratic form has unexpected entry "
-                    f"({model.names[obs[i]]}, {model.names[obs[j]]}) = "
-                    f"{theta[i, j]:.3g}")
 
 
 def _check_bin_width(bin_width):
@@ -536,6 +521,22 @@ class IdentificationResult:
         return dataclasses.asdict(self)
 
 
+def check_fig7(model: HawkesModel):
+    """Refuse a model whose local independence graph, the support j -> i of
+    G[i, j] > 0 (Didelez 2008), has an edge outside ``FIG7_EDGES``, which
+    ``identify`` assumes.  The observed processes play A, M, D, L in order
+    and every other one U; the diagonal is ``validate``'s to refuse."""
+    if len(model.observed) != 4:
+        raise IdentificationError("need 4 observed processes: A, M, D, L")
+    role = dict(zip(model.observed, FIG7_NAMES))
+    extra = [f"{model.names[j]} -> {model.names[i]}"
+             for i, j in np.argwhere(model.branching > 0) if i != j
+             and (role.get(j, "U"), role.get(i, "U")) not in FIG7_EDGES]
+    if extra:
+        raise IdentificationError("edges outside the mediation topology: "
+                                  + ", ".join(extra))
+
+
 def identify(c_obs: CovMatrix, structure_rtol=1e-6) -> IdentificationResult:
     """Moment-based identification from the observable integrated covariance
     (processes ordered A, M, D, L).
@@ -557,9 +558,7 @@ def identify(c_obs: CovMatrix, structure_rtol=1e-6) -> IdentificationResult:
             "C_AL is nonzero beyond tolerance: the exposure and the proxy "
             "must be uncorrelated under this topology")
     theta_aa = c[a, a]
-    theta_ll = c[l, l]
-    if theta_aa <= 0 or theta_ll <= 0:
-        raise IdentificationError("nonpositive solved innovation variance")
+    theta_ll = c[l, l]     # positive: CovMatrix refuses any other diagonal
     r_ma = c[m, a] / theta_aa
     r_da = c[d, a] / theta_aa
     r_ml = c[l, m] / theta_ll
@@ -580,6 +579,19 @@ def identify(c_obs: CovMatrix, structure_rtol=1e-6) -> IdentificationResult:
         r_ml=float(r_ml), theta_aa=float(theta_aa), theta_ll=float(theta_ll),
         theta_mm=float(theta_mm),
         direct=float(g_da), mediated=float(g_dm * g_ma))
+
+
+def identify_stream(model: HawkesModel, stream: EventStream,
+                    bin_width) -> IdentificationResult:
+    """``identify`` on the observed block of the stream's covariance over
+    the model's lag horizon, C_AL checked loosely for sampling noise."""
+    check_fig7(model)
+    cov = integrated_cov_empirical(stream, bin_width,
+                                   default_max_lag(model, bin_width))
+    obs = list(model.observed)
+    return identify(CovMatrix(cov.matrix[np.ix_(obs, obs)],
+                              tuple(model.names[i] for i in obs)),
+                    structure_rtol=0.5)
 
 
 # -- serialization ---------------------------------------------------------------------

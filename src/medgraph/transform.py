@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphError, SizeError
-from .graphs import TailedDirectedGraph, UnrolledDag, find_tailed_cycle
+from .graphs import (TailedDirectedGraph, UnrolledDag, check_lag_count,
+                     find_tailed_cycle)
 
 UNROLL_EDGE_BUDGET = 1 << 18
 
@@ -19,8 +20,7 @@ def unroll(graph: TailedDirectedGraph, lags: int) -> UnrolledDag:
     a process depends on its own past even though rolled graphs carry no
     self-loops.  Baseline variables exist at lag 0 only.
     """
-    if lags < 1:
-        raise GraphError(f"lags must be >= 1, got {lags}")
+    check_lag_count(lags, "lags")
     size = _unrolled_edge_count(graph, lags)
     if size > UNROLL_EDGE_BUDGET:
         raise SizeError(f"unrolling on {lags} lags would make {size} edges "

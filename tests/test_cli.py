@@ -1230,3 +1230,82 @@ def test_unroll_out_that_names_a_directory_is_refused_before_the_work(
     assert _single_error(capsys) == {
         "code": "usage", "message": f"--out {target} is a directory, not a file"}
     assert _tree(work) == before
+
+
+# -- hawkes --identify covers the fig-7 edges only ------------------------------------
+
+
+def _ci_model():
+    from medgraph.hawkes import fig7_model
+    return fig7_model(0.4, 0.3, 0.4, 0.3, 0.3, 0.35, 0.3,
+                      mu=(0.6, 0.5, 0.5, 0.4, 0.5), beta=2.0)
+
+
+def _extra_edges():
+    from medgraph.hawkes import FIG7_EDGES, FIG7_NAMES
+    return [(cause, effect) for cause in FIG7_NAMES for effect in FIG7_NAMES
+            if cause != effect and (cause, effect) not in FIG7_EDGES]
+
+
+def _extra_edge_sets():
+    import itertools
+    edges = _extra_edges()
+    return [[e] for e in edges] + [list(p)
+                                   for p in itertools.combinations(edges, 2)]
+
+
+@pytest.mark.parametrize("edges", _extra_edge_sets(),
+                         ids=lambda es: ",".join(f"{c}{e}" for c, e in es))
+@pytest.mark.parametrize("simulate", [False, True], ids=["exact", "simulate"])
+def test_hawkes_identify_refuses_every_edge_outside_fig7(
+        edges, simulate, tmp_path, monkeypatch, capsys):
+    # D -> M exited 0 with direct 0.214 against a true 0.30
+    from medgraph import hawkes
+    model = model_to_dict(_ci_model())
+    names = model["names"]
+    for cause, effect in edges:
+        model["branching"][names.index(effect)][names.index(cause)] = 0.15
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "out").mkdir()
+    (work / "out" / "keep.txt").write_text("kept")
+    before = _tree(work)
+    argv = ["hawkes", "--model", str(path), "--identify",
+            "--out", str(work / "out")]
+    if simulate:
+        monkeypatch.setattr(hawkes, "simulate", _must_not_run)
+        argv += ["--simulate", "200"]
+    assert main(argv) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "IdentificationError"
+    for cause, effect in edges:
+        assert f"{cause} -> {effect}" in error["message"]
+    assert _tree(work) == before
+
+
+def test_extra_edges_are_the_thirteen_pairs_outside_fig7():
+    assert len(_extra_edges()) == 13 and len(_extra_edge_sets()) == 13 + 78
+
+
+@pytest.mark.parametrize("simulate", [False, True], ids=["exact", "simulate"])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_hawkes_identify_reads_the_structure_not_the_topology_field(
+        seed, simulate, tmp_path, capsys):
+    model = model_to_dict(_ci_model() if seed is None
+                          else random_fig7_model(seed=seed))
+    texts = []
+    for topology in ("fig7", None):
+        root = tmp_path / str(topology)
+        root.mkdir()
+        (root / "model.json").write_text(
+            json.dumps({**model, "topology": topology}))
+        argv = ["hawkes", "--model", str(root / "model.json"), "--identify",
+                "--out", str(root / "out")]
+        assert main(argv + ["--simulate", "300", "--seed", "5"] * simulate) == 0
+        text = (root / "out" / "identify.json").read_text()
+        digest = json.loads(text)["inputs"]["model.json"]
+        texts.append(text.replace(digest, "<digest>"))
+    capsys.readouterr()
+    assert texts[0] == texts[1]

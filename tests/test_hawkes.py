@@ -723,3 +723,127 @@ def test_simulate_holds_one_copy_of_the_stream():
 def test_process_names_must_be_distinct_plain_strings(names, bad):
     with pytest.raises(ConfigurationError, match=re.escape(bad)):
         HawkesModel(np.ones(2), np.zeros((2, 2)), np.ones((2, 2)), names=names)
+
+
+# -- the fig-7 edge set: the one structure the formula covers -------------------------
+
+
+def test_fig7_model_puts_each_weight_on_its_edge():
+    weights = (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 7e-3)
+    model = fig7_model(*weights, mu=np.ones(5))
+    expected = np.zeros((5, 5))
+    for (cause, effect), w in zip(hk.FIG7_EDGES, weights):
+        expected[hk.FIG7_NAMES.index(effect), hk.FIG7_NAMES.index(cause)] = w
+    assert np.array_equal(model.branching, expected)
+    assert np.count_nonzero(expected) == 7
+    hk.check_fig7(model)
+
+
+def _with_edge(model, cause, effect, topology="fig7"):
+    g = model.branching.copy()
+    g[model.index(effect), model.index(cause)] = 0.15
+    return HawkesModel(model.mu, g, model.decay, names=model.names,
+                       observed=model.observed, topology=topology)
+
+
+@pytest.mark.parametrize("topology", ["fig7", None])
+def test_check_fig7_refuses_d_to_m_which_identify_gets_wrong(topology):
+    # the exact formula returned g_dm 0.581 against a true 0.40 here
+    model = _with_edge(_fig7_pinned(), "D", "M", topology=topology)
+    with pytest.raises(IdentificationError, match="D -> M"):
+        hk.check_fig7(model)
+    with pytest.raises(IdentificationError, match="D -> M"):
+        hk.identify_stream(model, simulate(model, 500.0, 1), 0.5)
+    if topology == "fig7":
+        with pytest.raises(IdentificationError, match="D -> M"):
+            integrated_cov_exact(model)
+    else:
+        integrated_cov_exact(model)   # a covariance of any model
+
+
+def test_check_fig7_reads_roles_from_the_observed_order():
+    # the same edges on processes stored in another order and renamed
+    model = _fig7_pinned()
+    perm = [4, 2, 0, 3, 1]            # new position k holds old process perm[k]
+    g = model.branching[np.ix_(perm, perm)]
+    renamed = HawkesModel(model.mu[perm], g, model.decay[np.ix_(perm, perm)],
+                          names=("u", "d", "a", "l", "m"),
+                          observed=(2, 4, 1, 3))
+    hk.check_fig7(renamed)
+    res = identify(integrated_cov_exact(renamed))
+    assert res.as_dict() == pytest.approx(
+        identify(integrated_cov_exact(model)).as_dict(), abs=1e-12)
+    with pytest.raises(IdentificationError, match="u -> m"):
+        hk.check_fig7(_with_edge(renamed, "u", "m"))
+
+
+@pytest.mark.parametrize("observed", [(0, 1, 2), (0, 1, 2, 3, 4)])
+def test_check_fig7_needs_four_observed_processes(observed):
+    model = _fig7_pinned()
+    other = HawkesModel(model.mu, model.branching, model.decay,
+                        names=model.names, observed=observed)
+    with pytest.raises(IdentificationError, match="need 4 observed"):
+        hk.check_fig7(other)
+
+
+def test_check_fig7_leaves_the_diagonal_to_validate():
+    model = _with_edge(_fig7_pinned(), "M", "M")
+    hk.check_fig7(model)
+    with pytest.raises(ConfigurationError, match="diagonal"):
+        validate(model)
+
+
+def test_identify_stream_is_the_inline_empirical_sequence():
+    model = random_fig7_model(seed=8)
+    stream = simulate(model, 3000.0, 5)
+    bin_width = 0.2
+    lag = default_max_lag(model, bin_width)
+    cov = integrated_cov_empirical(stream, bin_width, lag)
+    obs = list(model.observed)
+    cov = CovMatrix(cov.matrix[np.ix_(obs, obs)],
+                    tuple(model.names[i] for i in obs))
+    inline = identify(cov, structure_rtol=0.5)
+    assert hk.identify_stream(model, stream, bin_width) == inline
+
+
+@pytest.mark.parametrize("t_end", [2_000.0, 20_000.0])
+def test_halved_rates_over_doubled_time_is_the_same_stream_rescaled(t_end):
+    # mu/2 and beta/2 over 2T: every draw is the same, every time is doubled
+    # exactly (power-of-two scalings), and so are the bins at twice the width
+    model = _fig7_pinned()
+    slow = HawkesModel(model.mu / 2, model.branching, model.decay / 2,
+                       names=model.names, observed=model.observed,
+                       topology=model.topology)
+    fast_stream = simulate(model, t_end, 11)
+    slow_stream = simulate(slow, 2 * t_end, 11)
+    assert np.array_equal(slow_stream.procs, fast_stream.procs)
+    assert np.array_equal(slow_stream.times, 2 * fast_stream.times)
+    fast = hk.identify_stream(model, fast_stream, 0.5)
+    slow = hk.identify_stream(slow, slow_stream, 1.0)
+    for name in ("g_ma", "g_da", "g_dm", "r_ma", "r_da", "r_dm", "r_ml"):
+        assert getattr(slow, name) == getattr(fast, name)
+    for name in ("theta_aa", "theta_ll", "theta_mm"):
+        assert getattr(slow, name) == getattr(fast, name) / 2
+
+
+# -- counts and names that are not what they say ---------------------------------------
+
+
+@pytest.mark.parametrize("n_clusters", [2.5, True, "3", None])
+def test_simulate_clusters_needs_an_integer_count(n_clusters):
+    # 2.5 ended in a TypeError from np.zeros
+    with pytest.raises(ConfigurationError, match="integer n_clusters"):
+        simulate_clusters(_fig7_pinned(), "A", n_clusters, 5.0, 0)
+
+
+def test_simulate_clusters_takes_a_numpy_integer_count():
+    counts = simulate_clusters(_fig7_pinned(), "A", np.int64(3), 5.0, 0)
+    assert np.array_equal(
+        counts, simulate_clusters(_fig7_pinned(), "A", 3, 5.0, 0))
+
+
+def test_cov_entry_of_an_unknown_name_is_a_configuration_error():
+    cov = integrated_cov_exact(_fig7_pinned())
+    assert cov.entry("A", "M") == cov.matrix[0, 1]
+    with pytest.raises(ConfigurationError, match="no process named 'Z'"):
+        cov.entry("A", "Z")

@@ -135,3 +135,21 @@ def test_unroll_makes_what_build_would_accept_without_calling_it(seed, lags):
     built = UnrolledDag.build(lags, g.process_nodes, g.baseline, dag.edges)
     assert g.baseline
     assert dag == built and dag.nodes == built.nodes
+
+
+@pytest.mark.parametrize("lags", [1.5, 2.0, True, "2", None,
+                                  np.float64(2.0), np.array(2.5)])
+def test_unroll_needs_an_integer_count_of_lags(graph_plain, lags):
+    # a float ended in a TypeError from range, and True ran as one lag
+    with pytest.raises(GraphError, match="lags must be an integer >= 1"):
+        unroll(graph_plain, lags)
+
+
+@pytest.mark.parametrize("lag_count", [1.5, True])
+def test_unrolled_dag_needs_an_integer_lag_count(lag_count):
+    with pytest.raises(GraphError, match="lag_count must be an integer >= 1"):
+        UnrolledDag.build(lag_count, {"Q"}, (), ())
+
+
+def test_unroll_takes_a_numpy_integer_count(graph_plain, dag_plain):
+    assert unroll(graph_plain, np.int64(2)) == dag_plain
