@@ -10,8 +10,12 @@ metric the result holds each side's median and quartiles over the seeds
 and, for the end-to-end metrics of ``BENCHMARK.json``, how many pairs the
 change won (ties count for neither side), whether that is a gain (at least
 nine tenths of the pairs won and the medians further apart than the
-parent's quartile spread) and whether the change's median is worse than the
-parent's by more than the metric's bound.  Every run is kept in the file.
+parent's quartile spread), whether the change's median is worse than the
+parent's by more than the metric's bound, and whether the metric is
+unresolved: the parent's quartile spread is wider than the bound relative
+to its median, so a median within the bound does not show it unchanged,
+unless every change run reads better than every parent run.  Every run is
+kept in the file.
 An existing output file is updated: the workloads run now replace their
 earlier entries and the others stay, so one record can hold workloads run
 with different seeds.
@@ -92,12 +96,15 @@ def summarize(pairs, end_to_end):
             pm, cm = entry["parent"]["median"], entry["change"]["median"]
             iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
             worse = sign * (cm - pm) / abs(pm) if pm else 0.0
+            # every change run better than every parent run
+            apart = max(sign * c for c in change) < min(sign * p for p in parent)
             entry.update({
                 "better": spec["better"], "bound": spec["bound"],
                 "change_wins": wins,
                 "gain": wins >= 0.9 * len(both) and sign * (pm - cm) > iqr,
                 "relative_worsening": worse,
-                "regression": worse > spec["bound"]})
+                "regression": worse > spec["bound"],
+                "unresolved": iqr > spec["bound"] * abs(pm) and not apart})
         out[name] = entry
     return out
 

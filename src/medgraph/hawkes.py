@@ -23,6 +23,7 @@ G_ij * beta_ij * exp(-beta_ij t).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,10 +334,17 @@ def simulate(model: HawkesModel, t_end, seed) -> EventStream:
 def simulate_clusters(model: HawkesModel, root_type, n_clusters, horizon,
                       seed) -> np.ndarray:
     """Event counts by process over ``n_clusters`` independent clusters each
-    rooted at one time-0 event of ``root_type`` (an injected event; its
-    cluster is distributed like an intrinsic one)."""
+    rooted at one time-0 event of ``root_type``, a process name or index
+    (an injected event; its cluster is distributed like an intrinsic one)."""
     n = model.dimension
-    j0 = model.index(root_type) if isinstance(root_type, str) else int(root_type)
+    if isinstance(root_type, str):
+        j0 = model.index(root_type)
+    elif (isinstance(root_type, numbers.Integral)
+          and not isinstance(root_type, bool)):
+        j0 = int(root_type)
+    else:
+        raise ConfigurationError(f"root_type must be a process name or an "
+                                 f"integer index, got {root_type!r}")
     if (not 0 <= j0 < n or isinstance(n_clusters, bool)
             or not isinstance(n_clusters, (int, np.integer)) or n_clusters < 0
             or not 0.0 < horizon < np.inf):

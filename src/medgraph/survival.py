@@ -46,7 +46,8 @@ MAX_ITER = 60
 # fell below this share of its value at gamma = 0 (see fit_cox_td)
 SEPARATION_INFO_RATIO = 1e-3
 # bootstrap replicates * (data rows + grid points): each replicate reads
-# every row and keeps one value per grid point until the bands are taken
+# every row and keeps one value per grid point, in one n_boot x grid
+# matrix, until the bands are taken
 BOOT_BUDGET = 1 << 28
 
 
@@ -883,6 +884,10 @@ def bootstrap(dataset: SurvivalDataset, statistic, n_boot, seed, grid=None,
     dropped and counted by exception class in ``drops``; more than 20% drops
     is an error.  ``n_boot`` * (rows + grid points) above BOOT_BUDGET is a
     ``SizeError``, raised before the first replicate.
+
+    The replicate values are held once, in one ``n_boot`` x grid matrix,
+    and both bands come from one selection made in place over its kept
+    rows; ``keep_replicates`` returns a copy of those rows taken first.
     """
     if n_boot < 2:
         raise ConfigurationError("need at least 2 bootstrap replicates")
@@ -895,29 +900,35 @@ def bootstrap(dataset: SurvivalDataset, statistic, n_boot, seed, grid=None,
                         f"{len(grid)} grid points exceed the {BOOT_BUDGET} "
                         f"bootstrap budget")
     index, arms = _subject_index(dataset), {}
-    rows, drops, first = [], {}, {}
+    # kept replicates fill the first rows in order; the rows past the last
+    # kept one are never read
+    sample = np.empty((n_boot, len(grid)))
+    kept, drops, first = 0, {}, {}
     for rep in range(n_boot):
         rng = np.random.default_rng([int(seed), rep])
         replicate = _Replicate(dataset, _draw(dataset, index, rng), arms)
         try:
-            rows.append(statistic(replicate)(grid))
+            sample[kept] = statistic(replicate)(grid)
         except (EstimationError, DataError) as exc:
             reason = type(exc).__name__
             drops[reason] = drops.get(reason, 0) + 1
             first.setdefault(reason, str(exc))
-    dropped = sum(drops.values())
+        else:
+            kept += 1
+    dropped = n_boot - kept
     if dropped > 0.2 * n_boot:
         reasons = "; ".join(f"{k} x{v}, first: {first[k]}"
                             for k, v in drops.items())
         raise EstimationError(
             f"{dropped}/{n_boot} bootstrap replicates failed ({reasons})")
-    sample = np.vstack(rows)
-    return BootstrapBands(
-        grid,
-        np.percentile(sample, 2.5, axis=0),
-        np.percentile(sample, 97.5, axis=0),
-        n_boot, dropped,
-        sample if keep_replicates else None, drops)
+    sample = sample[:kept]
+    replicates = sample.copy() if keep_replicates else None
+    # one selection for both bands; it reorders ``sample`` in place, so the
+    # returned replicates are copied before it
+    lower, upper = np.percentile(sample, (2.5, 97.5), axis=0,
+                                 overwrite_input=True)
+    return BootstrapBands(grid, lower, upper, n_boot, dropped, replicates,
+                          drops)
 
 
 # -- simulation oracle ------------------------------------------------------------------

@@ -842,6 +842,20 @@ def test_simulate_clusters_takes_a_numpy_integer_count():
         counts, simulate_clusters(_fig7_pinned(), "A", 3, 5.0, 0))
 
 
+@pytest.mark.parametrize("root_type", [1.7, True, np.float64(1.0), None],
+                         ids=["float", "bool", "numpy-float", "none"])
+def test_simulate_clusters_needs_a_name_or_an_integer_root(root_type):
+    # 1.7 and True were both taken as int(root_type), process 1 (M)
+    with pytest.raises(ConfigurationError, match="root_type"):
+        simulate_clusters(_fig7_pinned(), root_type, 5, 5.0, 0)
+
+
+def test_simulate_clusters_takes_a_numpy_integer_root():
+    counts = simulate_clusters(_fig7_pinned(), np.int64(1), 5, 5.0, 0)
+    assert np.array_equal(
+        counts, simulate_clusters(_fig7_pinned(), "M", 5, 5.0, 0))
+
+
 def test_cov_entry_of_an_unknown_name_is_a_configuration_error():
     cov = integrated_cov_exact(_fig7_pinned())
     assert cov.entry("A", "M") == cov.matrix[0, 1]

@@ -550,6 +550,46 @@ def test_small_view_replicates_match_copied_replicates(make, seed, reasons):
     assert _rel_diff(bands.replicates, values) <= 1e-12
 
 
+def test_bands_are_the_percentiles_of_the_kept_replicates_only():
+    # 11 of the 60 replicates are dropped: only the kept replicates' values
+    # may enter the selection
+    ds = _sim_ds(seed=1, n=14)
+    grid = np.unique(ds.stop[ds.event == 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bands = bootstrap(ds, _cli_statistic, n_boot=60, seed=1, grid=grid)
+        kept = bootstrap(ds, _cli_statistic, n_boot=60, seed=1, grid=grid,
+                         keep_replicates=True)
+        values, _ = _copied_bootstrap(ds, _cli_statistic, 60, 1, grid)
+    assert bands.n_dropped > 0 and len(values) == 60 - bands.n_dropped
+    assert np.array_equal(bands.lower, np.percentile(values, 2.5, axis=0))
+    assert np.array_equal(bands.upper, np.percentile(values, 97.5, axis=0))
+    # the returned replicates are a copy taken before the in-place selection
+    assert np.array_equal(kept.replicates, values)
+    assert np.array_equal(kept.lower, bands.lower)
+    assert np.array_equal(kept.upper, bands.upper)
+
+
+def test_bootstrap_peak_memory_is_one_replicate_matrix():
+    ds = _sim_ds(seed=3, n=60)
+    grid = np.linspace(0.0, 4.0, 400)
+
+    def peak(n_boot):
+        tracemalloc.start()
+        try:
+            bootstrap(ds, kaplan_meier, n_boot=n_boot, seed=3, grid=grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # two replicates measure what the dataset, its index and one statistic
+    # take; 400 add the (400 x 400) float64 matrix, which a list of rows,
+    # its stacked copy and a copy per percentile call would hold three times
+    working_set = peak(2)
+    matrix = 400 * len(grid) * 8
+    assert peak(400) <= 1.5 * matrix + working_set
+
+
 def test_rho_after_a_diverged_fit_is_an_estimation_error():
     # group 0 of this replicate is separated: the fit stops near gamma =
     # 1257 with the gradient under tolerance, and exp(gamma z) overflows;
