@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import numbers
 
 
 class MedgraphError(Exception):
@@ -49,3 +52,11 @@ class IdentificationError(MedgraphError):
 
 class UndefinedConditionalError(MedgraphError):
     """A required conditional probability has a zero-probability condition."""
+
+
+def check_count(value, what, minimum, error=ConfigurationError):
+    """Raise ``error`` unless ``value`` is an integer >= ``minimum``; a bool
+    is not a count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")

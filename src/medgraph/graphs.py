@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import heapq
 import logging
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import GraphError, ParseError, QueryError, UnknownNodeError
+from .errors import (GraphError, ParseError, QueryError, UnknownNodeError,
+                     check_count)
 
 log = logging.getLogger(__name__)
 
@@ -77,20 +77,22 @@ class _Graph:
 
     @cached_property
     def adjacency(self):
-        """(children, parents) over all edges, built once per graph."""
-        return _adjacency(self.all_edges)
+        """(children, parents) over all edges, built once per graph, each
+        neighbour set a sorted tuple: a walk that takes neighbours in this
+        order breaks its ties by node order, not by the hash seed."""
+        return tuple({n: tuple(sorted(s)) for n, s in m.items()}
+                     for m in _adjacency(self.all_edges))
 
     def _check_known(self, names):
         unknown = set(names) - self.nodes
         if unknown:
             raise UnknownNodeError(f"unknown node names: {sorted(unknown)}")
 
-    def ancestors(self, target, include_target=False):
-        """an(target) over all edges; ``include_target`` gives an+(target)."""
+    def ancestors(self, target):
+        """an(target) over all edges."""
         target = set(target)
         self._check_known(target)
-        anc = _closure(target, self.adjacency[1])
-        return anc | target if include_target else anc
+        return _closure(target, self.adjacency[1])
 
 
 @dataclass(frozen=True)
@@ -217,10 +219,8 @@ LaggedNode = tuple[str, int]
 
 
 def check_lag_count(value, what):
-    """Raise unless ``value`` is an integer >= 1; a bool is not a count."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise GraphError(f"{what} must be an integer >= 1, got {value!r}")
+    """Raise a GraphError unless ``value`` is an integer >= 1."""
+    check_count(value, what, 1, GraphError)
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def parse_lig(text: str) -> GraphSpecFile:
         unobserved <name>
         role <role-name> <node>
     """
-    nodes: list[str] = []
+    nodes: dict[str, None] = {}  # in file order, with O(1) lookups
     baseline: set[str] = set()
     directed: list[Edge] = []
     tailed: list[Edge] = []
@@ -337,7 +337,7 @@ def parse_lig(text: str) -> GraphSpecFile:
                 raise ParseError(f"node name {name!r} is a keyword or edge operator", lineno)
             if name in nodes:
                 raise ParseError(f"duplicate node name {name!r}", lineno)
-            nodes.append(name)
+            nodes[name] = None
         elif tokens[0] == "unobserved":
             if len(tokens) != 2:
                 raise ParseError(f"bad unobserved statement: {line!r}", lineno)

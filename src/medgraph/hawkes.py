@@ -64,6 +64,9 @@ class HawkesModel:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "branching", g)
         object.__setattr__(self, "decay", beta)
+        if mu.ndim != 1:
+            raise ConfigurationError(
+                f"mu must be a vector of background rates, got shape {mu.shape}")
         n = len(mu)
         if g.shape != (n, n) or beta.shape != (n, n):
             raise ConfigurationError("mu, branching and decay dimensions differ")

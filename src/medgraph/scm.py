@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigurationError, QueryError, SizeError,
-                     UndefinedConditionalError)
+                     UndefinedConditionalError, check_count)
 from .graphs import UnrolledDag, _split_lagged, lagged_name, topological_order
 
 NA = "NA"
@@ -125,8 +125,7 @@ class DiscreteScm:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        if self.grid < 0:
-            raise ConfigurationError(f"grid must be >= 0, got {self.grid}")
+        check_count(self.grid, "grid", 0)
         seen = {}
         for pos, v in enumerate(self.variables):
             if v.name in seen:
@@ -167,13 +166,24 @@ class DiscreteScm:
 @dataclass(frozen=True, eq=False)
 class SeparatedScm(DiscreteScm):
     """Model with the treatment split into two independent root components:
-    ``AD`` driving survival and covariates, ``AM`` driving mediators."""
+    ``AD`` driving survival and covariates, ``AM`` driving mediators.  Its
+    ``grid`` is the number of grid points its variables cover: every
+    factor of :func:`_factors` up to it exists, and no later survival
+    indicator does, so the exact checks read every factor."""
 
     def __post_init__(self):
         super().__post_init__()
         for name in (TREATMENT_DIRECT, TREATMENT_MEDIATED):
             if self.var(name).parents:
                 raise ConfigurationError(f"treatment component {name!r} must be a root")
+        names = set(self.names)
+        missing = [name for _, name, *_ in _factors(self.grid) if name not in names]
+        if missing:
+            raise ConfigurationError(
+                f"grid {self.grid} needs the variables {missing}")
+        if survival_name(self.grid + 1) in names:
+            raise ConfigurationError(f"grid {self.grid} does not cover the "
+                                     f"variable {survival_name(self.grid + 1)}")
 
     @cached_property
     def _treatment_free(self):
@@ -563,8 +573,7 @@ def random_separated_scm(k_max, seed, violation=None) -> SeparatedScm:
     'mediated_to_covariate' (A3), or 'latent_confounding' (a hidden root
     feeding both mediators and survival).
     """
-    if k_max < 1:
-        raise ConfigurationError(f"k_max must be >= 1, got {k_max}")
+    check_count(k_max, "k_max", 1)
     if violation is not None and violation not in VIOLATIONS:
         raise ConfigurationError(f"unknown violation {violation!r}; options: {VIOLATIONS}")
     rng = np.random.default_rng(seed)
@@ -683,7 +692,7 @@ def scm_from_dict(d: dict) -> DiscreteScm:
             )
             for spec in d["variables"]
         )
-        grid = int(d["grid"])
+        grid = d["grid"]
         sep = d.get("separated")
         if sep is not None:
             if sep != _SEPARATED:

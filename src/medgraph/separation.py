@@ -4,15 +4,18 @@ d-separation on variable-level DAGs, delta-separation on rolled graphs, and a
 sufficient criterion for Granger non-causality in graphs with contemporaneous
 effects.  delta-separation is d-separation in the auxiliary graph with the
 directed edges out of the target set removed; no auxiliary graph is built:
-the walk on the given graph skips each step from a node back to a parent in
-the target set, which is exactly a step along a removed edge.  d- and
+the search on the given graph skips each step from a node back to a parent
+in the target set, which is exactly a step along a removed edge.  d- and
 delta-queries share one setup and the graph's nodes, cached adjacency and
-ancestors, and differ only in that cut.  Each fast test has an exhaustive
-path-enumeration oracle used for cross-validation on small graphs.
+ancestors, and differ only in that cut.  Each query is one breadth-first
+search that decides it and returns a shortest connecting path as the
+witness.  The exhaustive path enumeration serves only the two oracles,
+which cross-validate the search on small graphs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import QueryError, SizeError
@@ -35,7 +38,7 @@ def _setup(graph, a, b, c):
             raise QueryError(f"{name} set references unknown nodes: {sorted(unknown)}")
     if a & b or a & c or b & c:
         raise QueryError("query sets must be pairwise disjoint")
-    return a, b, c, graph.ancestors(c, include_target=True)
+    return a, b, c, graph.ancestors(c) | c
 
 
 def _process_target(graph, b, what="delta-separation target"):
@@ -45,24 +48,47 @@ def _process_target(graph, b, what="delta-separation target"):
         raise QueryError(f"{what} must be process nodes, got baseline {sorted(bad)}")
 
 
-def _walk_connected(graph, a, b, given, anc_plus, cut=frozenset()):
-    """Reachability test for a d-connecting walk from ``a`` to ``b`` given
-    ``given`` in ``graph``, where collider openings are decided by
-    membership in ``anc_plus`` (an+(given), possibly computed in a larger
-    graph).  The walk never steps from a node back to a parent in ``cut``:
-    for ``cut = b`` that is the graph with the edges out of ``b`` removed.
+def _connecting_path(graph, a, b, given, anc_plus, cut=frozenset()):
+    """A shortest d-connecting path from ``a`` to ``b`` given ``given`` in
+    ``graph``, as ``[source, (op, node), ...]``, or None if there is none.
+    Collider openings are decided by membership in ``anc_plus``
+    (an+(given), possibly computed in a larger graph).  The search never
+    steps from a node back to a parent in ``cut``: for ``cut = b`` that is
+    the graph with the edges out of ``b`` removed.
 
-    State is (node, arrived_by_head): arrived_by_head is True when the walk
-    entered the node through an arrowhead.  A source is entered as if by a
-    tail, so every edge at it may be taken.
+    One breadth-first search over the states (node, arrived_by_head)
+    (Shachter's Bayes ball): arrived_by_head is True when the walk entered
+    the node through an arrowhead, and a source is entered as if by a tail,
+    so every edge at it may be taken.  Sources are taken in sorted order,
+    then children before parents, each in the sorted order of the graph's
+    adjacency, so ties between shortest paths fall by node order.
+
+    A shortest walk is a d-connecting path.  Whether a step is allowed
+    depends only on the state it leaves, and the state it enters only on
+    the edge.  So if a shortest walk visited a node X twice, the later
+    visit's outgoing step would also be allowed from the earlier visit,
+    and the walk could be cut short there.  The one exception: the earlier
+    visit enters X by head with X outside an+(given), and the later visit
+    leaves X to a parent.  But from such a visit every later state is a
+    descendant of X entered by head and outside an+(given), which may only
+    step to children, so the walk never comes back to X by a tail.  A
+    shortest walk is therefore a simple path, and the walk's step rules are
+    exactly the path rules: a collider is in an+(given) and no non-collider
+    is in ``given``.  This holds in cyclic rolled graphs and with ``cut``.
     """
     children, parents = graph.adjacency
-    seen = {(src, False) for src in a}
-    stack = list(seen)
-    while stack:
-        node, by_head = stack.pop()
+    came_from = {(src, False): None for src in sorted(a)}
+    queue = deque(came_from)
+    while queue:
+        state = queue.popleft()
+        node, by_head = state
         if node in b:
-            return True
+            path = []
+            while came_from[state] is not None:
+                # a state entered by head was reached along a child edge
+                path.append(("->" if state[1] else "<-", state[0]))
+                state = came_from[state]
+            return [state[0]] + path[::-1]
         passes = node not in given
         # a step up to a parent: a collider if entered by a head, else a
         # chain or fork
@@ -70,17 +96,17 @@ def _walk_connected(graph, a, b, given, anc_plus, cut=frozenset()):
         nexts = [(n, True) for n in children.get(node, ())] if passes else []
         if up:
             nexts += [(n, False) for n in parents.get(node, ()) if n not in cut]
-        for state in nexts:
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return False
+        for nxt in nexts:
+            if nxt not in came_from:
+                came_from[nxt] = state
+                queue.append(nxt)
+    return None
 
 
 def _first_path(graph, a, b, given, anc_plus, cut=frozenset()):
     """The first connecting simple path from the sorted sources, by
     exhaustive depth-first enumeration that prunes blocked prefixes, or
-    None.  ``cut`` is as in :func:`_walk_connected`."""
+    None.  ``cut`` is as in :func:`_connecting_path`."""
     children, parents = graph.adjacency
 
     def rec(node, by_head, on_path, path):
@@ -129,7 +155,7 @@ def format_path(path):
 def d_separated(dag: UnrolledDag, a, b, c) -> bool:
     """True iff ``a`` and ``b`` are d-separated given ``c`` in the DAG."""
     a, b, c, anc_plus = _setup(dag, a, b, c)
-    return not _walk_connected(dag, a, b, c, anc_plus)
+    return _connecting_path(dag, a, b, c, anc_plus) is None
 
 
 def d_separated_oracle(dag: UnrolledDag, a, b, c) -> bool:
@@ -139,12 +165,9 @@ def d_separated_oracle(dag: UnrolledDag, a, b, c) -> bool:
 
 
 def d_connecting_path(dag: UnrolledDag, a, b, c):
-    """One d-connecting simple path, or None if separated.  The walk test
-    answers separated queries; only connected ones enumerate paths."""
+    """A shortest d-connecting path, or None if separated."""
     a, b, c, anc_plus = _setup(dag, a, b, c)
-    if not _walk_connected(dag, a, b, c, anc_plus):
-        return None
-    return _first_path(dag, a, b, c, anc_plus)
+    return _connecting_path(dag, a, b, c, anc_plus)
 
 
 # -- delta-separation on rolled graphs -------------------------------------
@@ -158,7 +181,7 @@ def delta_separated(graph: TailedDirectedGraph, a, b, c) -> bool:
     """
     a, b, c, anc_plus = _setup(graph, a, b, c)
     _process_target(graph, b)
-    return not _walk_connected(graph, a, b, c, anc_plus, cut=b)
+    return _connecting_path(graph, a, b, c, anc_plus, cut=b) is None
 
 
 def delta_separated_oracle(graph: TailedDirectedGraph, a, b, c) -> bool:
@@ -170,14 +193,10 @@ def delta_separated_oracle(graph: TailedDirectedGraph, a, b, c) -> bool:
 
 
 def delta_connecting_path(graph: TailedDirectedGraph, a, b, c):
-    """One delta-connecting simple path (in the auxiliary graph), or None.
-    The walk test answers separated queries; only connected ones enumerate
-    paths."""
+    """A shortest delta-connecting path (in the auxiliary graph), or None."""
     a, b, c, anc_plus = _setup(graph, a, b, c)
     _process_target(graph, b)
-    if not _walk_connected(graph, a, b, c, anc_plus, cut=b):
-        return None
-    return _first_path(graph, a, b, c, anc_plus, cut=b)
+    return _connecting_path(graph, a, b, c, anc_plus, cut=b)
 
 
 # -- Granger non-causality via contemporaneous-effects criterion ----------

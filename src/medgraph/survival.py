@@ -37,7 +37,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, EstimationError, SizeError
+from .errors import (ConfigurationError, DataError, EstimationError, SizeError,
+                     check_count)
 
 GRAD_TOL = 1e-8
 STEP_FLOOR = 1e-10
@@ -429,8 +430,8 @@ def mediator_summary(dataset: SurvivalDataset, mediator_col, scheme,
     if scheme == "weighted":
         if decay is None or not 0 < decay <= 1:
             raise ConfigurationError("'weighted' needs a decay factor in (0, 1]")
-    if scheme == "two_part" and split is None:
-        raise ConfigurationError("'two_part' needs a split time")
+    if scheme == "two_part" and (split is None or not math.isfinite(split)):
+        raise ConfigurationError(f"'two_part' needs a finite split time, got {split!r}")
 
     if scheme == "last":
         derived = raw[:, None]
@@ -889,8 +890,8 @@ def bootstrap(dataset: SurvivalDataset, statistic, n_boot, seed, grid=None,
     and both bands come from one selection made in place over its kept
     rows; ``keep_replicates`` returns a copy of those rows taken first.
     """
-    if n_boot < 2:
-        raise ConfigurationError("need at least 2 bootstrap replicates")
+    check_count(n_boot, "the number of bootstrap replicates", 2)
+    check_count(seed, "the bootstrap seed", 0)
     if grid is None:
         grid = np.unique(dataset.stop[dataset.event == 1])
     grid = np.asarray(grid, dtype=float)
@@ -958,8 +959,7 @@ class SimulationConfig:
                                      "match the value list")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        if self.n_subjects < 0:
-            raise ConfigurationError("n_subjects must not be negative")
+        check_count(self.n_subjects, "n_subjects", 0)
         if not self.mediator_sd >= 0:
             raise ConfigurationError("mediator_sd must not be negative")
         if not 0 <= self.treated_fraction <= 1:

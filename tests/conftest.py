@@ -2,9 +2,11 @@
 plus three interacting processes, in plain and contemporaneous variants) and
 the standard mediation topologies."""
 
+import numpy as np
 import pytest
 
 from medgraph.graphs import TailedDirectedGraph, UnrolledDag
+from medgraph.scm import random_separated_scm, scm_to_dict
 from medgraph.transform import unroll
 
 
@@ -72,3 +74,14 @@ def mediation_graph_treated_covariate(extra_edges=()):
     return TailedDirectedGraph.build(
         ["AD", "AM", "M", "C", "N", "UM", "UC"], baseline={"AD", "AM"},
         directed=directed, tailed={("N", "M")})
+
+
+def scm_dict_a1_broken_at_point_1():
+    """``random_separated_scm(2, 0)`` as a model file, with AD added as a
+    parent of M1 whose 0/1 probabilities swap when AD = 1: A1 fails at
+    grid point 1 only."""
+    d = scm_to_dict(random_separated_scm(2, 0))
+    d["parents"]["M1"].append("AD")
+    cpt = np.asarray(d["cpt"]["M1"])
+    d["cpt"]["M1"] = np.stack([cpt, cpt[..., [1, 0, 2]]], axis=-2).tolist()
+    return d

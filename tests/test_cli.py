@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scm_dict_a1_broken_at_point_1
 from medgraph.cli import main
 from medgraph.hawkes import model_to_dict, random_fig7_model
 from medgraph.scm import random_separated_scm, scm_to_dict
@@ -1309,3 +1310,50 @@ def test_hawkes_identify_reads_the_structure_not_the_topology_field(
         texts.append(text.replace(digest, "<digest>"))
     capsys.readouterr()
     assert texts[0] == texts[1]
+
+
+# -- model files and arguments the layers below refuse -----------------------------------
+
+
+@pytest.mark.parametrize("grid", [1.7, 1, True, "2"])
+def test_separated_model_grid_that_hides_a_violation_is_refused(grid, tmp_path,
+                                                                capsys):
+    # AD -> M1 breaks A1 at grid point 1 only; a grid that stops before it,
+    # or is not an integer, must not report A1 as holding
+    d = scm_dict_a1_broken_at_point_1()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(d))
+    assert main(["simulate", "--scm", str(path), "--query", "assumptions"]) == 0
+    assert _json_out(capsys)["report"]["A1"] is False
+    d["grid"] = grid
+    path.write_text(json.dumps(d))
+    assert main(["simulate", "--scm", str(path), "--query", "assumptions"]) == 1
+    assert _single_error(capsys)["code"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("mu", [[[0.1]] * 5, 0.1])
+def test_hawkes_model_whose_mu_is_not_a_vector_is_refused(mu, tmp_path, capsys):
+    from medgraph.hawkes import fig7_model
+    model = model_to_dict(fig7_model(0.4, 0.3, 0.4, 0.3, 0.3, 0.35, 0.3,
+                                     mu=(0.6, 0.5, 0.5, 0.4, 0.5), beta=2.0))
+    model["mu"] = mu
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    assert main(["hawkes", "--model", str(path), "--identify",
+                 "--out", str(out)]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "ConfigurationError" and "mu" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["nan", "inf"])
+def test_two_part_summary_needs_a_finite_split(split, survival_csv, tmp_path,
+                                               capsys):
+    out = tmp_path / "est"
+    assert main(["estimate", "--data", survival_csv, "--summary", "two_part",
+                 "--split", split, "--out", str(out)]) == 1
+    error = _single_error(capsys)
+    assert error["code"] == "ConfigurationError"
+    assert f"finite split time, got {split}" in error["message"]
+    assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scm_dict_a1_broken_at_point_1
 from medgraph.errors import (ConfigurationError, QueryError, SizeError,
                              UndefinedConditionalError)
 from medgraph.graphs import TailedDirectedGraph
@@ -667,3 +668,31 @@ def test_scm_from_dict_takes_only_the_fixed_components(separated):
     d["separated"] = separated
     with pytest.raises(ConfigurationError, match="separated must be"):
         scm_from_dict(d)
+
+
+# -- a separated model's grid against its variables ------------------------------------
+
+
+def test_separated_grid_two_reads_the_violation_at_point_1():
+    report = verify_assumptions_exact(scm_from_dict(scm_dict_a1_broken_at_point_1()))
+    assert not report.a1 and report.a2_discrete and report.a3
+
+
+@pytest.mark.parametrize("grid, message", [
+    (1, "does not cover the variable S2"), (0, "does not cover the variable S1"),
+    (3, r"needs the variables \['M2', 'C2', 'S3'\]"),
+    (1.7, "grid must be an integer"), (True, "grid must be an integer"),
+    ("2", "grid must be an integer"), (2.0, "grid must be an integer"),
+    (-1, "grid must be an integer"),
+])
+def test_separated_grid_must_match_the_variables(grid, message):
+    d = scm_dict_a1_broken_at_point_1()
+    d["grid"] = grid
+    with pytest.raises(ConfigurationError, match=message):
+        scm_from_dict(d)
+
+
+@pytest.mark.parametrize("k_max", [1.5, True, "2", 0, None])
+def test_random_separated_scm_takes_an_integer_grid(k_max):
+    with pytest.raises(ConfigurationError, match="k_max must be an integer"):
+        random_separated_scm(k_max, 0)

@@ -1214,3 +1214,37 @@ def test_effect_curves_with_reference_survival_zero_from_the_start():
     rho = StepFunction(np.array([0.5, 1.5]), np.array([0.1, 0.2]))
     with pytest.raises(EstimationError, match="zero from the start"):
         effect_curves(rho, km_1, km_0)
+
+
+# -- counts and seeds that are not non-negative integers ---------------------------------
+
+
+def _constant(_):
+    return lambda t: np.full_like(t, 0.5)
+
+
+@pytest.mark.parametrize("n_boot", [2.5, True, "3", 1])
+def test_bootstrap_replicate_count_must_be_an_integer(n_boot):
+    ds = _sim_ds(seed=14, n=20)
+    with pytest.raises(ConfigurationError, match="bootstrap replicates must"):
+        bootstrap(ds, _constant, n_boot, 0, grid=np.array([1.0]))
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "0"])
+def test_bootstrap_seed_must_be_a_non_negative_integer(seed):
+    ds = _sim_ds(seed=14, n=20)
+    with pytest.raises(ConfigurationError, match="bootstrap seed must"):
+        bootstrap(ds, _constant, 4, seed, grid=np.array([1.0]))
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1, "3"])
+def test_simulation_subject_count_must_be_an_integer(n):
+    with pytest.raises(ConfigurationError, match="n_subjects must"):
+        simulate_dataset(SimulationConfig(n_subjects=n, rho=0.3, gamma=0.5), 0)
+
+
+def test_two_part_summary_split_must_be_finite():
+    ds = _sim_ds(seed=14, n=20)
+    for split in (float("nan"), float("inf"), None):
+        with pytest.raises(ConfigurationError, match="finite split time"):
+            mediator_summary(ds, "m", "two_part", split=split)
