@@ -11,7 +11,9 @@ effects from the observable covariance alone.
 The empirical covariance forms every lagged sum of products of the
 uncentered bin counts, sum_t c_t c_{t+l}^T, in one pass over blocks of bins
 that stay in cache while each lag's product is taken; the sorted events are
-binned a block at a time, so memory is O(events + block).
+binned a block at a time, so memory is O(events + block), and only the
+processes whose covariance is asked for are binned (identification: the
+observed ones, never the latent U).
 The counts are small integers, so these sums are exact; each lag is then
 centred in closed form with the count totals.
 
@@ -34,9 +36,10 @@ from .errors import (ConfigurationError, DataError, EstimationError,
 RADIUS_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-10
 EVENT_BUDGET = 10_000_000
-# multiply-adds of the empirical covariance's lag sums: bins * (lags + 1) * n**2
+# multiply-adds of the empirical covariance's lag sums:
+# bins * (lags + 1) * k**2 for the k processes binned
 LAG_SUM_BUDGET = 10_000_000_000
-LAG_BLOCK = 8192                # bins per cached block in _lag_sums
+LAG_BLOCK = 16384               # bins per cached block in _lag_sums
 
 FIG7_NAMES = ("A", "M", "D", "L", "U")
 # the mediation topology's edges by role, as (cause, effect): A -> M -> D with
@@ -395,14 +398,16 @@ class CovMatrix:
 def integrated_cov_exact(model: HawkesModel) -> CovMatrix:
     """Exact integrated covariance of the observed processes:
     the full-process matrix R diag(Lambda) R^T restricted to the observed
-    block.  A model of the mediation topology is checked to have only its
-    edges (``check_fig7``)."""
+    block.  Only the observed processes need a positive mean intensity, so
+    a silent latent process is accepted.  A model of the mediation topology
+    is checked to have only its edges (``check_fig7``)."""
     r = expected_cluster_matrix(model)
     lam = r @ model.mu
-    if np.any(lam <= 0):
-        raise ConfigurationError("mean intensities must be positive")
-    c_full = r @ np.diag(lam) @ r.T
     obs = list(model.observed)
+    if np.any(lam[obs] <= 0):
+        raise ConfigurationError(
+            "mean intensities of the observed processes must be positive")
+    c_full = r @ np.diag(lam) @ r.T
     c_obs = c_full[np.ix_(obs, obs)]
     if model.topology == "fig7":
         check_fig7(model)
@@ -429,57 +434,88 @@ def default_max_lag(model: HawkesModel, bin_width, tail=1e-3):
 
 
 class _BinnedCounts:
-    """The (n_bins, n) float count matrix of a stream, binned on demand: the
-    row slice ``[lo:hi]`` bincounts only the events in bins lo..hi-1, found
-    by ``searchsorted`` on the events' bin indices ``idx``, which never
-    decrease because the stream is sorted by time."""
+    """The (n_bins, k) float count matrix of a stream's kept processes,
+    binned on demand.  ``cols[p]`` is process p's column in 0..k-1, or -1
+    for a process left out, whose events are dropped as each slice is
+    binned.  The row slice ``[lo:hi]`` bincounts only the events in bins
+    lo..hi-1, found by ``searchsorted`` on the events' bin indices ``idx``,
+    which never decrease because the stream is sorted by time.  The counts
+    are binned process-major, so the slice is the transpose of a contiguous
+    (k, hi - lo) array."""
 
-    def __init__(self, idx, procs, n_bins, n):
-        self.idx, self.procs, self.shape = idx, procs, (n_bins, n)
+    def __init__(self, idx, procs, cols, n_bins):
+        k = int(cols.max()) + 1
+        # a dropped process's events land in an extra last row, cut off
+        self.idx, self.procs, self.shape = idx, procs, (n_bins, k)
+        self.rows = np.where(cols < 0, k, cols)
 
     def __getitem__(self, rows):
         lo, hi, _ = rows.indices(self.shape[0])
-        n = self.shape[1]
+        width, k = hi - lo, self.shape[1]
         first, last = np.searchsorted(self.idx, [lo, hi])
-        cells = (self.idx[first:last] - lo) * n + self.procs[first:last]
-        return np.bincount(cells, minlength=(hi - lo) * n).reshape(
-            hi - lo, n).astype(float)
+        cells = self.rows[self.procs[first:last]] * width + (
+            self.idx[first:last] - lo)
+        # weighted by ones, the counts come out as floats with no int copy
+        counts = np.bincount(cells, np.ones(len(cells)), minlength=k * width)
+        return counts[:k * width].reshape(k, width).T
 
 
 def _lag_sums(counts, max_lag):
     """S[l] = counts[:N-l].T @ counts[l:] for l = 0..max_lag, shape
-    (max_lag + 1, n, n), from an array or a ``_BinnedCounts``.  The bins are
-    read in blocks of ``LAG_BLOCK``, each once, as a window that runs
-    ``max_lag`` bins past the block; the window stays in cache while every
-    lag's product of the block against the bins l later is formed from it.
-    On integer counts every partial sum is an integer, so the result is
-    exact in any order while the sums stay below 2**53 (at most
-    EVENT_BUDGET**2 = 1e14 for a simulated stream)."""
+    (max_lag + 1, n, n), from an (N, n) array or a ``_BinnedCounts``.  The
+    bins are read in blocks of ``LAG_BLOCK``, each once, as a window that
+    runs ``max_lag`` bins past the block, held process-major as an (n,
+    LAG_BLOCK + max_lag) array; the window stays in cache while every lag's
+    product ``block @ window[:, l:l + m].T`` is formed from it, each a sum
+    over bins along contiguous rows.  On integer counts every partial sum
+    is an integer, so the result is exact in any order while the sums stay
+    below 2**53 (at most EVENT_BUDGET**2 = 1e14 for a simulated stream)."""
     n_bins, n = counts.shape
     s = np.zeros((max_lag + 1, n, n))
     for lo in range(0, n_bins, LAG_BLOCK):
-        window = counts[lo:lo + LAG_BLOCK + max_lag]
-        block = window[:LAG_BLOCK].T
+        window = np.ascontiguousarray(counts[lo:lo + LAG_BLOCK + max_lag].T)
         for lag in range(min(max_lag + 1, n_bins - lo)):
-            s[lag] += (block[:, :n_bins - lo - lag]
-                       @ window[lag:lag + LAG_BLOCK])
+            m = min(LAG_BLOCK, n_bins - lo - lag)
+            s[lag] += window[:, :m] @ window[:, lag:lag + m].T
     return s
 
 
+def _check_processes(processes, n):
+    procs = list(processes) if np.iterable(processes) else []
+    if not procs or len(set(procs)) != len(procs) or not all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            and 0 <= i < n for i in procs):
+        raise ConfigurationError(
+            f"processes must be distinct process indices in 0..{n - 1}, "
+            f"at least one, got {processes!r}")
+    return procs
+
+
 def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
-                             max_lag=50) -> CovMatrix:
+                             max_lag=50, processes=None) -> CovMatrix:
     """Binned estimator: sample cross-covariances of bin counts summed over
     lags -max_lag..max_lag, scaled by 1/bin_width.  The lag-l covariance
     divides by the N - l bin pairs at that lag.  It is computed from the
     exact integer lag sums S_l of the uncentered counts, centred in closed
     form: S_l - a_l mu^T - mu b_l^T + (N - l) mu mu^T, where a_l and b_l
     are the count totals of the first and the last N - l bins.  The counts
-    are binned a block at a time, so no bins x processes array is held."""
+    are binned a block at a time, so no bins x processes array is held.
+
+    ``processes`` lists the stream process indices whose covariance block
+    is returned, in that order (default: all of them); the others' events
+    are never binned, so their lag sums cost nothing and a process with no
+    events outside the block is no error.  Every entry is the one the full
+    matrix holds, bit for bit: the lag sums are exact and the rest is
+    elementwise.  The result's names are ``CovMatrix``'s positional
+    defaults, p0.. in the order of ``processes``."""
     _check_bin_width(bin_width)
     if max_lag < 0:
         raise ConfigurationError("max_lag must be >= 0")
     n = stream.n_processes
-    if not stream.horizon * n <= EVENT_BUDGET * bin_width:
+    procs = (list(range(n)) if processes is None
+             else _check_processes(processes, n))
+    k = len(procs)
+    if not stream.horizon * k <= EVENT_BUDGET * bin_width:
         raise SizeError(f"bin width {bin_width:.3g} needs more than "
                         f"{EVENT_BUDGET} bin counts")
     n_bins = int(stream.horizon / bin_width)
@@ -487,16 +523,19 @@ def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
         raise DataError(f"only {n_bins} bins; need at least 100")
     if max_lag >= n_bins:
         raise DataError(f"max_lag {max_lag} needs more than the {n_bins} bins")
-    if n_bins * (max_lag + 1) * n * n > LAG_SUM_BUDGET:
-        raise SizeError(f"{n_bins} bins at {max_lag + 1} lags of {n} processes "
-                        f"exceed the {LAG_SUM_BUDGET} lag-sum budget")
+    if n_bins * (max_lag + 1) * k * k > LAG_SUM_BUDGET:
+        raise SizeError(f"{n_bins} bins at {max_lag + 1} lags of {k} binned "
+                        f"processes exceed the {LAG_SUM_BUDGET} lag-sum "
+                        f"budget")
     idx = (stream.times / bin_width).astype(int)
     np.minimum(idx, n_bins - 1, out=idx)
-    counts = _BinnedCounts(idx, stream.procs, n_bins, n)
+    cols = np.full(n, -1)
+    cols[procs] = np.arange(k)
+    counts = _BinnedCounts(idx, stream.procs, cols, n_bins)
     s = _lag_sums(counts, max_lag)
-    total = np.bincount(stream.procs, minlength=n).astype(float)   # column sums
+    total = np.bincount(stream.procs, minlength=n)[procs].astype(float)
     mu = total / n_bins
-    zero = np.zeros((1, n))
+    zero = np.zeros((1, k))
     a = total - np.concatenate(
         [zero, np.cumsum(counts[n_bins - max_lag:][::-1], axis=0)])
     b = total - np.concatenate([zero, np.cumsum(counts[:max_lag], axis=0)])
@@ -595,13 +634,16 @@ def identify(c_obs: CovMatrix, structure_rtol=1e-6) -> IdentificationResult:
 def identify_stream(model: HawkesModel, stream: EventStream,
                     bin_width) -> IdentificationResult:
     """``identify`` on the observed block of the stream's covariance over
-    the model's lag horizon, C_AL checked loosely for sampling noise."""
+    the model's lag horizon, C_AL checked loosely for sampling noise.  Only
+    the observed processes are binned: the latent U's events are skipped,
+    so a silent U is accepted, and the block is bitwise the one cut from
+    the full matrix."""
     check_fig7(model)
+    obs = model.observed
     cov = integrated_cov_empirical(stream, bin_width,
-                                   default_max_lag(model, bin_width))
-    obs = list(model.observed)
-    return identify(CovMatrix(cov.matrix[np.ix_(obs, obs)],
-                              tuple(model.names[i] for i in obs)),
+                                   default_max_lag(model, bin_width),
+                                   processes=obs)
+    return identify(CovMatrix(cov.matrix, tuple(model.names[i] for i in obs)),
                     structure_rtol=0.5)
 
 

@@ -1357,3 +1357,62 @@ def test_two_part_summary_needs_a_finite_split(split, survival_csv, tmp_path,
     assert error["code"] == "ConfigurationError"
     assert f"finite split time, got {split}" in error["message"]
     assert not out.exists()
+
+
+# -- hawkes: the observed processes alone ---------------------------------------------
+
+
+def _fig7_file(tmp_path, g_lu=0.35, g_du=0.3, mu_u=0.5):
+    from medgraph.hawkes import fig7_model
+    path = tmp_path / "fig7.json"
+    path.write_text(json.dumps(model_to_dict(fig7_model(
+        0.4, 0.3, 0.4, 0.3, 0.3, g_lu, g_du, mu=(0.6, 0.5, 0.5, 0.4, mu_u),
+        beta=2.0))))
+    return str(path)
+
+
+@pytest.mark.parametrize("simulate", [[], ["--simulate", "20000"]],
+                         ids=["exact", "empirical"])
+def test_hawkes_identify_accepts_a_silent_latent_process(simulate, tmp_path,
+                                                         capsys):
+    # U with no immigrants and no edges: the empirical path used to refuse
+    # U's zero variance (DataError), the exact one its zero mean intensity
+    model = _fig7_file(tmp_path, g_lu=0.0, g_du=0.0, mu_u=0.0)
+    out = tmp_path / "out"
+    assert main(["hawkes", "--model", model, *simulate, "--identify",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["identify.json"] + ["events.csv"] * bool(simulate))
+    res = json.loads((out / "identify.json").read_text())
+    assert res["source"] == ("empirical" if simulate else "exact")
+    if not simulate:
+        assert res["identified"]["direct"] == pytest.approx(0.30, abs=1e-12)
+        assert res["identified"]["mediated"] == pytest.approx(0.16, abs=1e-12)
+
+
+def test_hawkes_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the lag sums are BLAS matmuls of exact integers, so how OpenBLAS
+    # splits them cannot change a bit; the thread count is set in each
+    # child's environment only
+    import filecmp
+    import os
+    import subprocess
+    import sys
+    model = _fig7_file(tmp_path)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "medgraph.cli", "hawkes", "--model", model,
+             "--simulate", "20000", "--identify", "--seed", "4",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("events.csv", "identify.json"):
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)

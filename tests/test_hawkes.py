@@ -861,3 +861,109 @@ def test_cov_entry_of_an_unknown_name_is_a_configuration_error():
     assert cov.entry("A", "M") == cov.matrix[0, 1]
     with pytest.raises(ConfigurationError, match="no process named 'Z'"):
         cov.entry("A", "Z")
+
+
+# -- the covariance of the processes asked for: only they are binned --------------------
+
+
+def _silent_latent_fig7():
+    """``_fig7_pinned`` with the latent U silent: no immigrants, no edges."""
+    return fig7_model(0.4, 0.3, 0.4, 0.3, 0.3, 0.0, 0.0,
+                      mu=(0.6, 0.5, 0.5, 0.4, 0.0), beta=2.0)
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize("processes", [(0, 1, 2, 3), (3, 0, 4), (4,)])
+def test_empirical_cov_block_equals_the_full_matrix_bitwise(processes, block,
+                                                            monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(hk, "LAG_BLOCK", block)
+    stream = simulate(_fig7_pinned(), 601.0, 5)
+    # 601 bins (a prime), and 20 033 bins: more than one default block
+    cases = [(1.0, 0), (1.0, 17)] + ([(0.03, 33)] if block is None else [])
+    for bin_width, max_lag in cases:
+        full = integrated_cov_empirical(stream, bin_width, max_lag).matrix
+        got = integrated_cov_empirical(stream, bin_width, max_lag,
+                                       processes=processes).matrix
+        assert np.array_equal(got, full[np.ix_(processes, processes)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_identify_stream_is_the_full_matrix_then_its_observed_block(seed):
+    model = random_fig7_model(seed=seed)
+    stream = simulate(model, 3000.0, seed)
+    bin_width = 0.2
+    cov = integrated_cov_empirical(stream, bin_width,
+                                   default_max_lag(model, bin_width))
+    obs = list(model.observed)
+    block = CovMatrix(cov.matrix[np.ix_(obs, obs)],
+                      tuple(model.names[i] for i in obs))
+    assert (hk.identify_stream(model, stream, bin_width)
+            == identify(block, structure_rtol=0.5))
+
+
+@pytest.mark.parametrize("processes", [(5,), (-1, 0), (0, 1, 0), (), (True,),
+                                       (1.0,), ("A",), 2])
+def test_empirical_cov_processes_must_be_distinct_indices(processes):
+    stream = simulate(_fig7_pinned(), 40.0, 5)
+    with pytest.raises(ConfigurationError, match="processes"):
+        integrated_cov_empirical(stream, 0.2, 3, processes=processes)
+
+
+def test_lag_sum_budget_counts_the_processes_binned(monkeypatch):
+    stream = simulate(_fig7_pinned(), 40.0, 5)
+    # 200 bins of 4 processes; 8 lags fit the budget exactly, 9 do not
+    monkeypatch.setattr(hk, "LAG_SUM_BUDGET", 200 * 8 * 4 * 4)
+    integrated_cov_empirical(stream, 0.2, 7, processes=(0, 1, 2, 3))
+    with pytest.raises(SizeError, match="of 4 binned processes"):
+        integrated_cov_empirical(stream, 0.2, 8, processes=(0, 1, 2, 3))
+    with pytest.raises(SizeError, match="of 5 binned processes"):
+        integrated_cov_empirical(stream, 0.2, 7)
+
+
+def test_identify_stream_makes_no_filtered_copy_of_the_stream():
+    model = _fig7_pinned()
+    stream = simulate(model, 50_000.0, 6)
+    held = sum(getattr(stream, f).nbytes
+               for f in ("times", "procs", "roots", "generations"))
+    tracemalloc.start()
+    try:
+        hk.identify_stream(model, stream, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # dropping U's events as each block is binned peaks at 0.50 times the
+    # stream's bytes; binning a filtered copy of the observed events peaked
+    # at 0.90 times, under the 1.0 bound of the full-matrix test
+    assert peak <= 0.75 * held
+
+
+def test_a_silent_latent_process_is_identified_exactly():
+    model = _silent_latent_fig7()
+    assert mean_intensities(model)[4] == 0.0
+    res = identify(integrated_cov_exact(model))
+    assert res.direct == pytest.approx(0.30, abs=1e-12)
+    assert res.mediated == pytest.approx(0.16, abs=1e-12)
+    truth = decompose_effects(model)
+    assert res.direct == pytest.approx(truth["direct"], abs=1e-12)
+    assert res.mediated == pytest.approx(truth["mediated"], abs=1e-12)
+
+
+def test_a_silent_latent_process_is_identified_from_the_stream():
+    model = _silent_latent_fig7()
+    stream = simulate(model, 20_000.0, 3)
+    assert not np.any(stream.procs == 4)
+    res = hk.identify_stream(model, stream, 0.2)
+    assert res.direct == pytest.approx(0.30, abs=0.1)
+    assert res.mediated == pytest.approx(0.16, abs=0.1)
+    # the full matrix holds U's zero variance, which CovMatrix refuses
+    with pytest.raises(DataError, match="diagonal must be positive"):
+        integrated_cov_empirical(stream, 0.2, 10)
+
+
+def test_exact_cov_refuses_a_silent_observed_process():
+    model = fig7_model(0.4, 0.3, 0.4, 0.3, 0.3, 0.35, 0.3,
+                       mu=(0.0, 0.5, 0.5, 0.4, 0.5), beta=2.0)
+    with pytest.raises(ConfigurationError,
+                       match="observed processes must be positive"):
+        integrated_cov_exact(model)
