@@ -51,6 +51,20 @@ FIG7_EDGES = (("A", "M"), ("A", "D"), ("M", "D"), ("L", "M"), ("L", "D"),
 # -- model ---------------------------------------------------------------------
 
 
+def _process_indices(indices, n, what):
+    """``indices`` as a list of distinct non-bool integer process indices in
+    0..n-1, at least one; anything else, a bare non-sequence included, is a
+    ``ConfigurationError`` whose message starts with ``what``."""
+    procs = list(indices) if np.iterable(indices) else []
+    if not procs or not all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            and 0 <= i < n for i in procs) or len(set(procs)) != len(procs):
+        raise ConfigurationError(
+            f"{what} must be distinct process indices in 0..{n - 1}, "
+            f"at least one, got {indices!r}")
+    return procs
+
+
 @dataclass(frozen=True, eq=False)
 class HawkesModel:
     mu: np.ndarray
@@ -93,12 +107,7 @@ class HawkesModel:
             seen.add(name)
         if not self.observed:
             object.__setattr__(self, "observed", tuple(range(n)))
-        obs = self.observed
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   and 0 <= i < n for i in obs) or len(set(obs)) != len(obs):
-            raise ConfigurationError(
-                f"observed must be distinct process indices in 0..{n - 1}, "
-                f"got {list(obs)}")
+        _process_indices(self.observed, n, "observed")
 
     @property
     def dimension(self):
@@ -480,17 +489,6 @@ def _lag_sums(counts, max_lag):
     return s
 
 
-def _check_processes(processes, n):
-    procs = list(processes) if np.iterable(processes) else []
-    if not procs or len(set(procs)) != len(procs) or not all(
-            isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-            and 0 <= i < n for i in procs):
-        raise ConfigurationError(
-            f"processes must be distinct process indices in 0..{n - 1}, "
-            f"at least one, got {processes!r}")
-    return procs
-
-
 def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
                              max_lag=50, processes=None) -> CovMatrix:
     """Binned estimator: sample cross-covariances of bin counts summed over
@@ -513,7 +511,7 @@ def integrated_cov_empirical(stream: EventStream, bin_width=0.2,
         raise ConfigurationError("max_lag must be >= 0")
     n = stream.n_processes
     procs = (list(range(n)) if processes is None
-             else _check_processes(processes, n))
+             else _process_indices(processes, n, "processes"))
     k = len(procs)
     if not stream.horizon * k <= EVENT_BUDGET * bin_width:
         raise SizeError(f"bin width {bin_width:.3g} needs more than "

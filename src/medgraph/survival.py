@@ -490,8 +490,20 @@ class _RiskSets:
 
     Row i is at risk at grid time u_k (start_i < u_k <= stop_i) when
     lo_i <= k < hi_i, so the at-risk sum of x at u_k is
-    sum_{hi > k} x - sum_{lo > k} x: two bincounts and a suffix cumsum whose
-    partial sums are at-risk totals, so float64 keeps ~1e-14 relative.
+    sum_{hi > k} x - sum_{lo > k} x: two bincounts and a suffix cumsum.
+    A row that has not yet entered at u_k (lo > k) still passes through
+    both, so the rounding error at u_k is relative to the sum of |x| over
+    the rows with hi > k, entered or not, not to the at-risk total: under
+    3e-15 of that sum on 4 000 rows.  Where the rows that enter later are
+    R times heavier than those at risk, the at-risk sum is off by up to
+    about R * 1e-15 relative (1.9e-12, 2.7e-7 and 1.6e-3 measured at
+    R = 1e4, 1e8 and 1e12, on 2 000 subjects with a light row and then a
+    heavy one).
+
+    ``at_risk`` and ``at_stop`` take one row vector or a (columns, rows)
+    block.  A block costs one bincount per row vector, each summed in row
+    order, and one cumsum along the grid, so its result equals the stacked
+    results of the vectors bit for bit.
     """
 
     def __init__(self, grid, lo, hi):
@@ -511,17 +523,24 @@ class _RiskSets:
         return _RiskSets(self.grid[times], below.take(self.lo.take(rows)),
                          below.take(self.hi.take(rows)))
 
-    def at_risk(self, x):
-        """Sum of the row vector ``x`` over the rows at risk at each grid
-        time."""
+    def _bins(self, index, x):
+        """Sums of ``x``, one vector or a (columns, rows) block, into the
+        len(grid) + 1 bins that ``index`` gives each row, one bincount per
+        vector."""
         m = len(self.grid) + 1
-        diff = np.bincount(self.hi, x, m) - np.bincount(self.lo, x, m)
-        return np.cumsum(diff[::-1])[:-1][::-1]
+        if np.ndim(x) == 1:
+            return np.bincount(index, x, m)
+        return np.array([np.bincount(index, v, m) for v in x])
+
+    def at_risk(self, x):
+        """Sum of ``x`` over the rows at risk at each grid time."""
+        diff = self._bins(self.hi, x) - self._bins(self.lo, x)
+        return np.cumsum(diff[..., ::-1], axis=-1)[..., :-1][..., ::-1]
 
     def at_stop(self, x):
         """Sum of ``x`` over the rows stopping at each grid time; ``x`` must
         be zero on rows that stop off the grid."""
-        return np.bincount(self.hi, x, len(self.grid) + 1)[1:]
+        return self._bins(self.hi, x)[..., 1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,6 +579,17 @@ def _risk_prefix(grid, start, stop, weights):
     return _RiskSets.map(grid, start, stop).at_risk(weights)
 
 
+def _risk_score(r: _Rows, coef):
+    """Each row's case weight times exp(coef . z), its weight in the Cox
+    model's risk-set sums, formed in place.  The linear predictor is a
+    plain einsum, not a BLAS product: no sum over rows or grid times in
+    this module goes through BLAS, so no result depends on the BLAS thread
+    count."""
+    score = np.einsum("ij,j->i", r.covariates, coef)
+    np.exp(score, out=score)
+    return np.multiply(score, r.weights, out=score)
+
+
 # -- nonparametric estimators ----------------------------------------------------
 
 
@@ -567,8 +597,7 @@ def _breslow(dataset: SurvivalDataset, coef=None) -> StepFunction:
     """Cumulative hazard with jumps d / sum(Y w exp(coef z)) at the event
     times: the Breslow baseline, or Nelson-Aalen without ``coef``."""
     r = _risk_sets(dataset)
-    risk = 1.0 if coef is None else np.exp(r.covariates @ coef)
-    s0 = r.risk.at_risk(r.weights * risk)
+    s0 = r.risk.at_risk(r.weights if coef is None else _risk_score(r, coef))
     if np.any(s0 <= 0):
         raise DataError("empty risk set at an event time")
     values = np.cumsum(r.d / s0)
@@ -604,21 +633,27 @@ class CoxFit:
 
 
 def _cox_stats(r: _Rows, gamma):
-    z, rs, d = r.covariates, r.risk, r.d
-    cols = range(z.shape[1])
-    z_events_sum = (r.weights * r.event) @ z
-    w = r.weights * np.exp(z @ gamma)
-    s0 = rs.at_risk(w)
+    z, d = r.covariates, r.d
+    n, p = z.shape
+    z_events_sum = np.einsum("i,ij->j", r.weights * r.event, z)
+    # one kernel call sums w, w z_j and w z_j z_k over every risk set, with
+    # w the risk score; the block is filled in place
+    block = np.empty((1 + p + p * p, n))
+    block[0] = _risk_score(r, gamma)
+    zt = block[1:1 + p]
+    zt[:] = z.T
+    np.multiply(zt[:, None], zt[None], out=block[1 + p:].reshape(p, p, n))
+    block[1:] *= block[0]
+    sums = r.risk.at_risk(block)
+    s0, s1, s2 = sums[0], sums[1:1 + p], sums[1 + p:].reshape(p, p, -1)
     if np.any(s0 <= 0):
         raise DataError("empty risk set at an event time")
-    s1 = np.column_stack([rs.at_risk(w * z[:, j]) for j in cols])
-    s2 = np.stack([np.column_stack([rs.at_risk(w * (z[:, j] * z[:, k]))
-                                    for k in cols]) for j in cols], axis=1)
-    mean = s1 / s0[:, None]
-    loglik = float(z_events_sum @ gamma - np.sum(d * np.log(s0)))
-    grad = z_events_sum - d @ mean
-    info = np.einsum("t,tjk->jk", d, s2 / s0[:, None, None]) \
-        - np.einsum("t,tj,tk->jk", d, mean, mean)
+    mean = s1 / s0
+    loglik = float(np.einsum("j,j->", z_events_sum, gamma)
+                   - np.sum(d * np.log(s0)))
+    grad = z_events_sum - np.einsum("t,jt->j", d, mean)
+    info = np.einsum("t,jkt->jk", d, s2 / s0) \
+        - np.einsum("t,jt,kt->jk", d, mean, mean)
     return loglik, grad, info
 
 
@@ -700,13 +735,15 @@ def estimate_rho(dataset: SurvivalDataset, fit: CoxFit) -> StepFunction:
         raise EstimationError("group a=1 is empty")
     if not np.any(r.treatment == 0):
         raise EstimationError("group a=0 is empty")
-    # one kernel serves both groups: a group's sums weight the other's rows 0
+    # one kernel serves both groups: a group's sums weight the other's rows
+    # 0, and one call of each kind sums every row vector needed
     rs = r.risk
-    w1 = r.weights * (r.treatment == 1)
-    w0 = r.weights * (r.treatment == 0)
-    risk = np.exp(r.covariates @ fit.coef)
-    d1, d0 = rs.at_stop(w1 * r.event), rs.at_stop(w0 * r.event)
-    y1, e1, e0 = rs.at_risk(w1), rs.at_risk(w1 * risk), rs.at_risk(w0 * risk)
+    arms = np.stack([r.treatment == 1, r.treatment == 0])
+    d1, d0 = rs.at_stop(arms * (r.weights * r.event))
+    block = np.empty((3, len(r.weights)))
+    np.multiply(arms[0], r.weights, out=block[0])
+    np.multiply(arms, _risk_score(r, fit.coef), out=block[1:])
+    y1, e1, e0 = rs.at_risk(block)
 
     # every grid time is an event time; the increment there needs group 1
     # at risk and, when group 0 has an event, a positive group-0 sum

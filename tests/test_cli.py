@@ -1416,3 +1416,41 @@ def test_hawkes_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         outs.append(out)
     for name in ("events.csv", "identify.json"):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
+
+
+def test_estimate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every sum over rows or grid times in the estimation layer is a
+    # bincount, a cumsum or a plain einsum, never a BLAS call that OpenBLAS
+    # splits by thread; the thread count is set in each child's environment
+    # only.  The input is large enough (over 24 000 rows in arm 0) that
+    # OpenBLAS would split a product over its rows.
+    import filecmp
+    import os
+    import subprocess
+    import sys
+    config = SimulationConfig(n_subjects=24000, rho=0.3, gamma=0.5,
+                              psi_values=(0.4,), visit_times=(1.0, 2.0),
+                              horizon=3.0, mediator_sd=0.5)
+    ds = simulate_dataset(config, seed=3)
+    assert np.count_nonzero(ds.treatment == 0) >= 24000
+    m = ds.column("m")
+    data = tmp_path / "surv.csv"
+    data.write_text("id,start,stop,event,treatment,m\n" + "".join(
+        f"{ds.subject[k]},{ds.start[k]},{ds.stop[k]},{ds.event[k]},"
+        f"{ds.treatment[k]},{m[k]}\n" for k in range(len(ds))))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "medgraph.cli", "estimate", "--data",
+             str(data), "--boot", "20", "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    assert [name for name in ("fit.json", "rho.csv", "effects.csv")
+            if not filecmp.cmp(outs[0] / name, outs[1] / name,
+                               shallow=False)] == []

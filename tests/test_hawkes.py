@@ -910,6 +910,24 @@ def test_empirical_cov_processes_must_be_distinct_indices(processes):
         integrated_cov_empirical(stream, 0.2, 3, processes=processes)
 
 
+@pytest.mark.parametrize("indices", [(5,), (-1, 0), (0, 1, 0), (True,),
+                                     (1.0,), ("A",), ([0],), 2])
+def test_observed_and_processes_refuse_the_same_index_lists(indices):
+    # one check serves both; a model's empty ``observed`` means all
+    # processes, so only ``processes`` refuses an empty list
+    model = _fig7_pinned()
+    with pytest.raises(ConfigurationError,
+                       match=r"^observed must be distinct process indices "
+                             r"in 0\.\.4"):
+        HawkesModel(model.mu, model.branching, model.decay,
+                    names=model.names, observed=indices)
+    stream = simulate(model, 40.0, 5)
+    with pytest.raises(ConfigurationError,
+                       match=r"^processes must be distinct process indices "
+                             r"in 0\.\.4"):
+        integrated_cov_empirical(stream, 0.2, 3, processes=indices)
+
+
 def test_lag_sum_budget_counts_the_processes_binned(monkeypatch):
     stream = simulate(_fig7_pinned(), 40.0, 5)
     # 200 bins of 4 processes; 8 lags fit the budget exactly, 9 do not

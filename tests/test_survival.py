@@ -462,6 +462,89 @@ def test_risk_set_sums_match_exact_summation():
     assert np.max(np.abs(sums - exact) / exact) <= 1e-13
 
 
+def _with_covariates(ds, p, seed):
+    """``ds`` with p covariates: its mediator and p - 1 random columns."""
+    rng = np.random.default_rng(seed)
+    z = np.column_stack([ds.covariates[:, 0],
+                         rng.normal(size=(len(ds), p - 1))])
+    return replace(ds, covariates=z,
+                   covariate_names=tuple(f"z{j}" for j in range(p)))
+
+
+def _assert_block_is_stacked_vectors(rs, n, seed):
+    rng = np.random.default_rng(seed)
+    block = np.vstack([rng.exponential(size=(3, n)),
+                       rng.normal(size=(2, n)) * 1e6])
+    assert np.array_equal(rs.at_risk(block),
+                          np.stack([rs.at_risk(x) for x in block]))
+    assert np.array_equal(rs.at_stop(block),
+                          np.stack([rs.at_stop(x) for x in block]))
+
+
+def test_risk_set_block_equals_the_stacked_vectors_bitwise():
+    ds = _sim_ds(seed=21, n=300)
+    r = survival._risk_sets(ds)
+    _assert_block_is_stacked_vectors(r.risk, len(r.weights), 21)
+    for k, view in enumerate(_replicates(ds, 3, 21)):
+        cut = survival._risk_sets(view.group(0))
+        assert len(cut.weights) < len(ds)
+        _assert_block_is_stacked_vectors(cut.risk, len(cut.weights), k)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    for name in ("at_risk", "at_stop"):
+        method = getattr(survival._RiskSets, name)
+
+        def counted(self, x, method=method, name=name):
+            calls.append((name, np.shape(x)))
+            return method(self, x)
+        monkeypatch.setattr(survival._RiskSets, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cox_evaluation_makes_one_kernel_call(p, monkeypatch):
+    ds = _with_covariates(_sim_ds(seed=22, n=200).group(0), p, 22)
+    r = survival._risk_sets(ds)
+    calls = _count_kernel_calls(monkeypatch)
+    loglik, grad, info = survival._cox_stats(r, np.full(p, 0.1))
+    # w, w z_j and w z_j z_k, one row vector each
+    assert calls == [("at_risk", (1 + p + p * p, len(ds)))]
+    assert grad.shape == (p,) and info.shape == (p, p)
+    assert np.array_equal(info, info.T)
+
+
+def test_estimate_rho_makes_one_call_of_each_kind(monkeypatch):
+    ds = _with_covariates(_sim_ds(seed=23, n=200), 2, 23)
+    fit = fit_cox_td(ds.group(0))
+    survival._risk_sets(ds)
+    calls = _count_kernel_calls(monkeypatch)
+    estimate_rho(ds, fit)
+    assert calls == [("at_stop", (2, len(ds))), ("at_risk", (3, len(ds)))]
+
+
+def test_risk_set_error_is_relative_to_the_rows_not_yet_stopped():
+    # each subject has a light row and then a heavy one, 1e8 times heavier:
+    # the at-risk sums are off relative to the at-risk total, but within
+    # 1e-14 of the sum over the rows that stop later, entered or not (the
+    # bound the kernel states)
+    rng = np.random.default_rng(24)
+    n = 500
+    entry = rng.uniform(0.1, 1.0, n)
+    start = np.concatenate([np.zeros(n), entry])
+    stop = np.concatenate([entry, entry + rng.uniform(0.1, 1.0, n)])
+    x = np.concatenate([rng.uniform(0.5, 1.5, n),
+                        1e8 * rng.uniform(0.5, 1.5, n)])
+    grid = np.unique(stop)
+    rs = survival._RiskSets.map(grid, start, stop)
+    sums = rs.at_risk(x)
+    for k, u in enumerate(grid):
+        exact = math.fsum(x[(start < u) & (u <= stop)])
+        later = math.fsum(x[rs.hi > k])
+        assert abs(sums[k] - exact) <= 1e-14 * later
+
+
 def test_case_weights_count_subjects_and_events():
     ds = _simple_ds(treatment=(1, 1, 0, 0))
     weighted = replace(ds, weights=np.array([2, 1, 1, 3]))
